@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint check bench bench-batch bench-check bench-perf bench-service fuzz-smoke serve-smoke chaos-smoke prof-smoke sweep dash
+.PHONY: test lint check bench bench-batch bench-check bench-perf bench-service bench-smoke fuzz-smoke serve-smoke chaos-smoke prof-smoke sweep dash
 
 BENCH_BASELINE ?= benchmarks/baselines/bench_history.jsonl
 
@@ -80,10 +80,17 @@ DASH_OUT ?= dashboard.html
 dash:
 	$(PYTHON) -m repro dash --out $(DASH_OUT) --history $(BENCH_BASELINE)
 
+# Repository-benchmark smoke (bench/README.md): every workload for 1 s
+# with one set-up.  Exits 1 when any Table 2 cell, fuzz counter or served
+# record differs from bench/expected/.  No timing gate.  Part of
+# `make check`.
+bench-smoke:
+	$(PYTHON) bench/run.py --quick
+
 # Everything CI would run: lint + tier-1 tests + fuzz + batch-engine
-# identity smoke + bench gate + service smoke + chaos smoke + profiler
-# smoke + a dashboard-build smoke.
-check: lint test fuzz-smoke bench-batch bench-check serve-smoke chaos-smoke prof-smoke dash
+# identity smoke + bench gate + benchmark smoke + service smoke + chaos
+# smoke + profiler smoke + a dashboard-build smoke.
+check: lint test fuzz-smoke bench-batch bench-check bench-smoke serve-smoke chaos-smoke prof-smoke dash
 
 # Regenerate every paper table/figure under benchmarks/results/
 # (perf-marked timing benches stay skipped).

@@ -15,14 +15,14 @@ seven ways and checks the acceptance properties of the performance layer:
   serial/pool choice is machine-dependent, but the *calibration record*
   always says which source decided.
 
-Writes ``benchmarks/results/perf_layer.txt`` and ``BENCH_perf.json`` (repo
-root).  Timing-sensitive, so it is marked ``perf`` and skipped unless
-pytest runs with ``--perf`` (``make bench-perf``).
+Writes ``benchmarks/results/perf_layer.txt`` and the ``perf`` block of
+``BENCH_perf.json`` (repo root), leaving the ``service`` block that
+``repro loadtest`` merges there alone.  Timing-sensitive, so it is marked
+``perf`` and skipped unless pytest runs with ``--perf`` (``make bench-perf``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time
@@ -38,6 +38,7 @@ from repro import (
     evaluate_corpus,
     paper_machine,
 )
+from repro.service.loadtest import merge_bench_file
 from repro.workloads import perfect_suite
 
 from conftest import BENCHMARKS, PAPER_CASES, RESULTS_DIR, emit
@@ -241,7 +242,7 @@ def test_perf_layer_speedups():
         },
         "identical_results": True,
     }
-    (REPO_ROOT / "BENCH_perf.json").write_text(json.dumps(payload, indent=2) + "\n")
+    merge_bench_file(str(REPO_ROOT / "BENCH_perf.json"), "perf", payload)
 
     assert warm_speedup >= 3.0, (
         f"cached+fast-path sweep only {warm_speedup:.2f}x faster than cold "

@@ -70,6 +70,7 @@ def list_schedule(
 
     schedule = Schedule(machine=machine, lowered=lowered, scheduler_name=f"list/{priority.value}")
     resources = ResourceTable(machine)
+    unit_of = {i.iid: machine.unit_for(i.fu) for i in lowered.instructions}
     unscheduled = set(graph.nodes)
     # earliest cycle each node may issue, updated as predecessors schedule
     ready_cycle = {n: 1 for n in graph.nodes}
@@ -92,9 +93,9 @@ def list_schedule(
             metric_observe("sched_pass.list.ready_len", len(candidates))
             placed_any = False
             for iid in candidates:
-                fu = lowered.instruction(iid).fu
-                if resources.can_place(fu, cycle):
-                    resources.place(fu, cycle)
+                unit = unit_of[iid]
+                if resources.can_place(unit, cycle):
+                    resources.place(unit, cycle)
                     schedule.cycle_of[iid] = cycle
                     unscheduled.discard(iid)
                     placed_any = True
@@ -119,7 +120,7 @@ def list_schedule(
                                 competing=tuple(c for c in candidates if c != iid),
                             )
                         )
-                    latency = machine.latency(fu)
+                    latency = unit.latency
                     for edge in graph.succ[iid]:
                         pending_preds[edge.dst] -= 1
                         if cycle + latency > ready_cycle[edge.dst]:

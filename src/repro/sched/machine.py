@@ -23,6 +23,7 @@ which is what the paper's Fig. 4 bundles exhibit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.codegen.isa import FuClass
 
@@ -47,7 +48,8 @@ class UnitSpec:
 @dataclass(frozen=True)
 class MachineConfig:
     """Issue width plus function units; every FuClass must be served by
-    exactly one unit spec."""
+    exactly one unit spec, and unit names are unique (occupancy is counted
+    per unit name)."""
 
     name: str
     issue_width: int
@@ -56,26 +58,34 @@ class MachineConfig:
     def __post_init__(self) -> None:
         if self.issue_width < 1:
             raise ValueError("issue width must be >= 1")
-        served: dict[FuClass, str] = {}
+        names = [unit.name for unit in self.units]
+        duplicates = sorted({name for name in names if names.count(name) > 1})
+        if duplicates:
+            raise ValueError(f"duplicate unit names: {duplicates}")
+        missing = [cls for cls in FuClass if cls not in self._unit_of]
+        if missing:
+            raise ValueError(f"function unit classes not served: {missing}")
+
+    @cached_property
+    def _unit_of(self) -> dict[FuClass, UnitSpec]:
+        """FuClass -> its unit.  Built by ``__post_init__``; cached in the
+        instance, so a machine unpickled from a file written before the map
+        existed rebuilds it on first use."""
+        served: dict[FuClass, UnitSpec] = {}
         for unit in self.units:
             for cls in unit.classes:
                 if cls in served:
                     raise ValueError(
-                        f"{cls} served by both {served[cls]!r} and {unit.name!r}"
+                        f"{cls} served by both {served[cls].name!r} and {unit.name!r}"
                     )
-                served[cls] = unit.name
-        missing = [cls for cls in FuClass if cls not in served]
-        if missing:
-            raise ValueError(f"function unit classes not served: {missing}")
+                served[cls] = unit
+        return served
 
     def unit_for(self, fu: FuClass) -> UnitSpec:
-        for unit in self.units:
-            if fu in unit.classes:
-                return unit
-        raise KeyError(fu)  # pragma: no cover - __post_init__ guarantees
+        return self._unit_of[fu]
 
     def latency(self, fu: FuClass) -> int:
-        return self.unit_for(fu).latency
+        return self._unit_of[fu].latency
 
 
 def figure4_machine() -> MachineConfig:

@@ -49,6 +49,7 @@ def marker_schedule(
 
     schedule = Schedule(machine=machine, lowered=lowered, scheduler_name="marker")
     resources = ResourceTable(machine)
+    unit_of = {i.iid: machine.unit_for(i.fu) for i in lowered.instructions}
     unscheduled = set(graph.nodes)
     ready_cycle = {n: 1 for n in graph.nodes}
     pending_preds = {n: graph.in_degree(n) for n in graph.nodes}
@@ -75,8 +76,7 @@ def marker_schedule(
                     continue
                 if edge.src not in cycle_of:
                     return False
-                latency = machine.latency(lowered.instruction(edge.src).fu)
-                if cycle_of[edge.src] + latency > cycle + 1:
+                if cycle_of[edge.src] + unit_of[edge.src].latency > cycle + 1:
                     # the sink could not issue right after the wait yet
                     return False
         return True
@@ -93,11 +93,12 @@ def marker_schedule(
             instr = lowered.instruction(iid)
             if instr.opcode is Opcode.WAIT and not wait_ready(iid, cycle):
                 continue
-            if resources.can_place(instr.fu, cycle):
-                resources.place(instr.fu, cycle)
+            unit = unit_of[iid]
+            if resources.can_place(unit, cycle):
+                resources.place(unit, cycle)
                 cycle_of[iid] = cycle
                 unscheduled.discard(iid)
-                latency = machine.latency(instr.fu)
+                latency = unit.latency
                 for edge in graph.succ[iid]:
                     pending_preds[edge.dst] -= 1
                     ready_cycle[edge.dst] = max(ready_cycle[edge.dst], cycle + latency)

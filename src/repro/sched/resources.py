@@ -5,14 +5,16 @@ non-pipelined multi-cycle units this count-based test is exact: all
 reservations of a unit kind are intervals of the same length, and a set of
 intervals fits on ``count`` instances iff no cycle's overlap exceeds
 ``count`` (interval-graph coloring).
+
+Every method takes the :class:`~repro.sched.machine.UnitSpec` an operation
+occupies: a scheduler resolves each instruction's unit once per schedule,
+not on every probe.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.codegen.isa import FuClass
 from repro.sched.machine import MachineConfig, UnitSpec
 
 
@@ -21,55 +23,50 @@ class ResourceTable:
     """Mutable reservation state for one schedule under construction."""
 
     machine: MachineConfig
-    issue_used: dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    unit_used: dict[str, dict[int, int]] = field(
-        default_factory=lambda: defaultdict(lambda: defaultdict(int))
-    )
+    issue_used: dict[int, int] = field(default_factory=dict)
+    unit_used: dict[str, dict[int, int]] = field(init=False)
 
-    def _busy_cycles(self, unit: UnitSpec, cycle: int) -> range:
-        if unit.pipelined:
-            return range(cycle, cycle + 1)
-        return range(cycle, cycle + unit.latency)
+    def __post_init__(self) -> None:
+        self.unit_used = {unit.name: {} for unit in self.machine.units}
 
-    def can_place(self, fu: FuClass, cycle: int) -> bool:
-        """Is there a free issue slot at ``cycle`` and a free instance of the
-        unit serving ``fu`` for its full occupancy interval?"""
-        if cycle < 1:
+    def can_place(self, unit: UnitSpec, cycle: int) -> bool:
+        """Is there a free issue slot at ``cycle`` and a free instance of
+        ``unit`` for its full occupancy interval?"""
+        if cycle < 1 or self.issue_used.get(cycle, 0) >= self.machine.issue_width:
             return False
-        if self.issue_used[cycle] >= self.machine.issue_width:
-            return False
-        unit = self.machine.unit_for(fu)
         used = self.unit_used[unit.name]
-        return all(used[c] < unit.count for c in self._busy_cycles(unit, cycle))
+        if unit.pipelined or unit.latency == 1:
+            return used.get(cycle, 0) < unit.count
+        return all(used.get(c, 0) < unit.count for c in range(cycle, cycle + unit.latency))
 
-    def place(self, fu: FuClass, cycle: int) -> None:
-        if not self.can_place(fu, cycle):
-            raise ValueError(f"cannot place {fu} at cycle {cycle}")
-        self.issue_used[cycle] += 1
-        unit = self.machine.unit_for(fu)
-        for c in self._busy_cycles(unit, cycle):
-            self.unit_used[unit.name][c] += 1
+    def place(self, unit: UnitSpec, cycle: int) -> None:
+        if not self.can_place(unit, cycle):
+            raise ValueError(f"cannot place on {unit.name!r} at cycle {cycle}")
+        self._reserve(unit, cycle, 1)
 
-    def remove(self, fu: FuClass, cycle: int) -> None:
+    def remove(self, unit: UnitSpec, cycle: int) -> None:
         """Undo a placement (used by the sync scheduler's retry search)."""
-        self.issue_used[cycle] -= 1
-        unit = self.machine.unit_for(fu)
-        for c in self._busy_cycles(unit, cycle):
-            self.unit_used[unit.name][c] -= 1
+        self._reserve(unit, cycle, -1)
 
-    def earliest(self, fu: FuClass, min_cycle: int) -> int:
-        """First cycle ``>= min_cycle`` where ``fu`` can be placed.
+    def _reserve(self, unit: UnitSpec, cycle: int, delta: int) -> None:
+        self.issue_used[cycle] = self.issue_used.get(cycle, 0) + delta
+        used = self.unit_used[unit.name]
+        for c in range(cycle, cycle + (1 if unit.pipelined else unit.latency)):
+            used[c] = used.get(c, 0) + delta
+
+    def earliest(self, unit: UnitSpec, min_cycle: int) -> int:
+        """First cycle ``>= min_cycle`` where ``unit`` can be placed.
 
         Always terminates: beyond the current horizon everything is free.
         """
         cycle = max(1, min_cycle)
-        while not self.can_place(fu, cycle):
+        while not self.can_place(unit, cycle):
             cycle += 1
         return cycle
 
-    def latest_at_most(self, fu: FuClass, deadline: int, min_cycle: int) -> int | None:
-        """Last cycle in ``[min_cycle, deadline]`` where ``fu`` fits, or None."""
+    def latest_at_most(self, unit: UnitSpec, deadline: int, min_cycle: int) -> int | None:
+        """Last cycle in ``[min_cycle, deadline]`` where ``unit`` fits, or None."""
         for cycle in range(deadline, max(1, min_cycle) - 1, -1):
-            if self.can_place(fu, cycle):
+            if self.can_place(unit, cycle):
                 return cycle
         return None

@@ -81,8 +81,16 @@ class _SyncScheduler:
         self.options = options
         self.resources = ResourceTable(machine)
         self.cycle_of: dict[int, int] = {}
+        self.unit_of = {i.iid: machine.unit_for(i.fu) for i in lowered.instructions}
         self.topo = graph.topological_order()
         self.topo_pos = {iid: i for i, iid in enumerate(self.topo)}
+        # Every node's DFG ancestors, closed once in topological order.
+        self.ancestors: dict[int, set[int]] = {}
+        for node in self.topo:
+            closure = self.ancestors[node] = set()
+            for edge in graph.pred[node]:
+                closure.add(edge.src)
+                closure |= self.ancestors[edge.src]
         self._inflight_sends: set[int] = set()
         self._sp_pair_ids: set[int] = set()  # filled by run()
         # Decision provenance (repro.obs.explain).  Buffered per-iid so the
@@ -147,7 +155,7 @@ class _SyncScheduler:
     # -- primitives -----------------------------------------------------------
 
     def latency(self, iid: int) -> int:
-        return self.machine.latency(self.lowered.instruction(iid).fu)
+        return self.unit_of[iid].latency
 
     def ready_cycle(self, iid: int) -> int:
         """Earliest legal issue cycle given scheduled predecessors.
@@ -161,21 +169,20 @@ class _SyncScheduler:
         return cycle
 
     def place(self, iid: int, cycle: int) -> None:
-        self.resources.place(self.lowered.instruction(iid).fu, cycle)
+        self.resources.place(self.unit_of[iid], cycle)
         self.cycle_of[iid] = cycle
 
     def unplace(self, iid: int) -> None:
         cycle = self.cycle_of.pop(iid)
-        self.resources.remove(self.lowered.instruction(iid).fu, cycle)
+        self.resources.remove(self.unit_of[iid], cycle)
         self._decisions.pop(iid, None)
 
     def place_asap(self, iid: int, min_cycle: int = 1) -> int:
-        fu = self.lowered.instruction(iid).fu
         if self._journal is None:
             ready, pred = self.ready_cycle(iid), None
         else:
             ready, pred = self.ready_cycle_reason(iid)
-        cycle = self.resources.earliest(fu, max(min_cycle, ready))
+        cycle = self.resources.earliest(self.unit_of[iid], max(min_cycle, ready))
         self.place(iid, cycle)
         self._record(iid, cycle, ready=ready, min_cycle=min_cycle, critical_pred=pred)
         return cycle
@@ -183,7 +190,7 @@ class _SyncScheduler:
     def unscheduled_ancestors(self, nodes: list[int]) -> list[int]:
         closure: set[int] = set()
         for node in nodes:
-            closure |= self.graph.ancestors(node)
+            closure |= self.ancestors[node]
         closure -= set(nodes)
         closure -= self.cycle_of.keys()
         return sorted(closure, key=self.topo_pos.__getitem__)
@@ -242,7 +249,7 @@ class _SyncScheduler:
                     if (
                         send_iid in self.cycle_of
                         or send_iid in self._inflight_sends
-                        or iid in self.graph.ancestors(send_iid)
+                        or iid in self.ancestors[send_iid]
                     ):
                         continue
                     self._inflight_sends.add(send_iid)
@@ -274,7 +281,7 @@ class _SyncScheduler:
             else:
                 ready, pred = self.ready_cycle_reason(iid)
             if deadline is not None and deadline >= ready:
-                cycle = self.resources.latest_at_most(instr.fu, deadline, ready)
+                cycle = self.resources.latest_at_most(self.unit_of[iid], deadline, ready)
                 if cycle is not None:
                     self.place(iid, cycle)
                     self._record(
@@ -332,10 +339,10 @@ class _SyncScheduler:
         the whole statement, the very store the send follows.  Packing
         tighter than the chain is impossible for *any* start cycle.
         """
-        between = (self.graph.descendants(a) & self.graph.ancestors(b)) | {a, b}
+        between = {n for n in self.ancestors[b] if a in self.ancestors[n]} | {a, b}
         dist = {a: 0}
-        for node in self.topo:
-            if node not in between or node not in dist:
+        for node in sorted(between, key=self.topo_pos.__getitem__):
+            if node not in dist:
                 continue
             for edge in self.graph.succ[node]:
                 if edge.dst in between:
@@ -374,8 +381,7 @@ class _SyncScheduler:
 
         targets = self.sp_targets(tuple(nodes), start)
         for iid, target in zip(nodes, targets):
-            fu = self.lowered.instruction(iid).fu
-            if not self.resources.can_place(fu, target):
+            if not self.resources.can_place(self.unit_of[iid], target):
                 return rollback()
             self.place(iid, target)
             placed.append(iid)
@@ -408,7 +414,7 @@ class _SyncScheduler:
                 # synchronization paths are exempt: they can never follow
                 # their own sends.
                 min_cycle = max(min_cycle, self.wait_min_cycle(anc))
-            cycle = self.resources.latest_at_most(instr.fu, deadline, min_cycle)
+            cycle = self.resources.latest_at_most(self.unit_of[anc], deadline, min_cycle)
             if cycle is None:
                 return rollback()
             self.place(anc, cycle)
@@ -515,7 +521,7 @@ class _SyncScheduler:
         sp_nodes = {node for path in paths for node in path.nodes}
         sp_ancestors: set[int] = set()
         for node in sp_nodes:
-            sp_ancestors |= self.graph.ancestors(node)
+            sp_ancestors |= self.ancestors[node]
         sp_pair_ids = {path.pair_id for path in paths}
         if self.options.waits_after_sends:
             self._phase = "lfd_conversion"

@@ -175,7 +175,10 @@ def _probe_trace(host: str, port: int, n: int) -> tuple[str | None, list[str]]:
         time.sleep(0.02)
 
 
-def _merge_bench_file(path: str, block: dict[str, Any]) -> None:
+def merge_bench_file(path: str, key: str, block: dict[str, Any]) -> None:
+    """Store ``block`` under ``key`` in the JSON file at ``path``, keeping
+    every other key (``make bench-perf`` and ``repro loadtest`` share
+    ``BENCH_perf.json``)."""
     existing: dict[str, Any] = {}
     if os.path.exists(path):
         try:
@@ -186,7 +189,7 @@ def _merge_bench_file(path: str, block: dict[str, Any]) -> None:
         except ValueError:
             pass  # a torn or foreign file must not sink the bench run
     existing["schema_version"] = SCHEMA_VERSION
-    existing["service"] = block
+    existing[key] = block
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(existing, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -557,7 +560,7 @@ def _chaos_loadtest(
                 existing_service = loaded["service"]
         except ValueError:
             pass
-    _merge_bench_file(out, {**existing_service, "chaos": block})
+    merge_bench_file(out, "service", {**existing_service, "chaos": block})
     print(f"merged chaos block into {out}", file=buffer_err)
 
     return OpResult(
@@ -712,7 +715,7 @@ def loadtest_op(
             "batch": batch,
         },
     )
-    _merge_bench_file(out, block)
+    merge_bench_file(out, "service", block)
 
     print(
         f"{requests} submissions x {concurrency} clients in {wall:.2f}s "

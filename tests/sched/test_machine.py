@@ -1,5 +1,7 @@
 """Machine configuration tests."""
 
+import pickle
+
 import pytest
 
 from repro.codegen.isa import FuClass
@@ -32,6 +34,16 @@ class TestPaperMachines:
         m = paper_machine(2, 1)
         assert m.unit_for(FuClass.INT_ALU).name != m.unit_for(FuClass.FP_ALU).name
 
+    def test_unpickled_without_unit_map(self):
+        # Compile caches saved before the FuClass -> unit map existed hold
+        # machines whose pickled state has only the dataclass fields.
+        m = paper_machine(4, 1)
+        old = pickle.loads(pickle.dumps(m))
+        del old.__dict__["_unit_of"]
+        assert old.unit_for(FuClass.MULTIPLIER) is old.units[3]
+        assert old.latency(FuClass.DIVIDER) == 6
+        assert old == m and hash(old) == hash(m)
+
 
 class TestFigure4Machine:
     def test_shared_adder(self):
@@ -60,6 +72,17 @@ class TestValidation:
             UnitSpec("extra", frozenset({FuClass.SHIFTER}), 1)
         ]
         with pytest.raises(ValueError, match="served by both"):
+            MachineConfig(name="bad", issue_width=2, units=tuple(units))
+
+    def test_duplicate_unit_names_rejected(self):
+        # Occupancy is counted per unit name: two "alu" units would share
+        # one counter and be checked against one count.
+        units = [u for u in paper_machine(2, 1).units if u.name not in ("integer", "float")]
+        units += [
+            UnitSpec("alu", frozenset({FuClass.INT_ALU}), 1),
+            UnitSpec("alu", frozenset({FuClass.FP_ALU}), 2),
+        ]
+        with pytest.raises(ValueError, match="duplicate unit names: \\['alu'\\]"):
             MachineConfig(name="bad", issue_width=2, units=tuple(units))
 
     def test_bad_issue_width(self):

@@ -18,7 +18,12 @@ _fus = st.sampled_from(
     ]
 )
 _machines = st.sampled_from(
-    [paper_machine(2, 1), paper_machine(4, 2), figure4_machine()]
+    [
+        paper_machine(2, 1),
+        paper_machine(4, 2),
+        figure4_machine(),
+        paper_machine(2, 1, pipelined=True),
+    ]
 )
 
 
@@ -30,9 +35,10 @@ def test_placements_never_exceed_capacity(machine, ops):
     table = ResourceTable(machine)
     placed = []
     for fu, min_cycle in ops:
-        cycle = table.earliest(fu, min_cycle)
+        unit = machine.unit_for(fu)
+        cycle = table.earliest(unit, min_cycle)
         assert cycle >= min_cycle
-        table.place(fu, cycle)
+        table.place(unit, cycle)
         placed.append((fu, cycle))
 
     # independent recount
@@ -59,14 +65,15 @@ def test_remove_is_exact_inverse(machine, ops):
     table = ResourceTable(machine)
     placements = []
     for fu, min_cycle in ops:
-        cycle = table.earliest(fu, min_cycle)
-        table.place(fu, cycle)
-        placements.append((fu, cycle))
-    for fu, cycle in reversed(placements):
-        table.remove(fu, cycle)
+        unit = machine.unit_for(fu)
+        cycle = table.earliest(unit, min_cycle)
+        table.place(unit, cycle)
+        placements.append((unit, cycle))
+    for unit, cycle in reversed(placements):
+        table.remove(unit, cycle)
     # the table is empty again: everything is placeable at cycle 1
     for fu in (FuClass.LOAD_STORE, FuClass.SYNC, FuClass.DIVIDER):
-        assert table.can_place(fu, 1)
+        assert table.can_place(machine.unit_for(fu), 1)
     assert all(v == 0 for v in table.issue_used.values())
 
 
@@ -74,11 +81,12 @@ def test_remove_is_exact_inverse(machine, ops):
 @settings(max_examples=60)
 def test_earliest_is_minimal(machine, fu, min_cycle):
     table = ResourceTable(machine)
+    unit = machine.unit_for(fu)
     # congest the early cycles a bit
     for c in range(1, 4):
-        while table.can_place(fu, c):
-            table.place(fu, c)
-    found = table.earliest(fu, min_cycle)
-    assert table.can_place(fu, found)
+        while table.can_place(unit, c):
+            table.place(unit, c)
+    found = table.earliest(unit, min_cycle)
+    assert table.can_place(unit, found)
     for cycle in range(min_cycle, found):
-        assert not table.can_place(fu, cycle)
+        assert not table.can_place(unit, cycle)

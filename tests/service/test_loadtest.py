@@ -10,7 +10,7 @@ cache hits, a complete ledger, and merge its ``service`` block into
 import json
 
 from repro.schema import SCHEMA_VERSION
-from repro.service.loadtest import LOOP_SOURCES, MACHINE_CASES, loadtest_op
+from repro.service.loadtest import LOOP_SOURCES, MACHINE_CASES, loadtest_op, merge_bench_file
 
 
 class TestLoadtestOp:
@@ -38,6 +38,20 @@ class TestLoadtestOp:
         assert merged["schema_version"] == SCHEMA_VERSION
         assert merged["batch_layer"] == {"warm_speedup": 120.0}
         assert merged["service"]["requests"] == 8
+
+    def test_perf_block_merge_keeps_service_block(self, tmp_path):
+        # `make bench-perf` used to rewrite the whole file, erasing what
+        # `repro loadtest` had merged in.
+        out = tmp_path / "BENCH_perf.json"
+        service = {"throughput_rps": 240.0, "chaos": {"requests": 500}}
+        out.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "service": service}))
+        merge_bench_file(str(out), "perf", {"timings_s": {"batch_cold": 0.2}})
+        merged = json.loads(out.read_text())
+        assert merged == {
+            "schema_version": SCHEMA_VERSION,
+            "service": service,
+            "perf": {"timings_s": {"batch_cold": 0.2}},
+        }
 
     def test_corpus_is_varied_but_cacheable(self):
         # enough distinct loops to exercise the grid, few enough that the
