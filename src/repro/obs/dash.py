@@ -780,7 +780,7 @@ polls <code>/v1/metrics</code> every {refresh_s:g}s when served live</p>
 <div class="chart" id="spark-p95"><span class="empty">collecting&hellip;</span></div>
 <h2>Request latency distribution</h2>
 <div id="latency-hist">{_live_hist_table(dists.get("service.request.latency"))}</div>
-<h2>Coalesce window occupancy</h2>
+<h2>Coalesced group size</h2>
 <div id="coalesce-hist">{_live_hist_table(dists.get("service.batch.coalesce_window_occupancy"))}</div>
 <h2>Flight recorder (most recent requests)</h2>
 <div id="flight-table">{_live_flight_table(snapshot.get("flight"))}</div>

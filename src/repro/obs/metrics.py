@@ -35,8 +35,8 @@ Two further stores serve the service telemetry layer (PR 8) — they keep
 the same commutative-merge discipline, but hold operational quantities:
 
 * **distributions** — fixed-bucket :class:`Histogram`\\ s (``record_value()``)
-  for continuous measurements: request latency in seconds, coalesce
-  window occupancy.  Bucket counts are plain integers, so merging is
+  for continuous measurements: request latency in seconds, coalesced
+  group size.  Bucket counts are plain integers, so merging is
   exact; the p50/p95/p99 estimators interpolate within a bucket.
 * **gauges** — :class:`Gauge` point-in-time values (``set_gauge()``):
   queue depth, in-flight requests.  Merging keeps the maximum (the only

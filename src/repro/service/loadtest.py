@@ -439,6 +439,8 @@ def _chaos_loadtest(
     gauges = telemetry.get("metrics", {}).get("gauges", {})
     breaker_gauge = gauges.get("service.breaker.state")
     server.shutdown()
+    # Handler threads are joined by now, so the count is final.
+    uncaught = server.telemetry.registry.counters.get("service.request.uncaught", 0)
 
     # The ledger trail, read after a clean shutdown: every submission that
     # reached admission must have an inflight journal line and a terminal
@@ -468,6 +470,7 @@ def _chaos_loadtest(
         "injected": injected,
         "malformed_responses": len(malformed),
         "transport_errors": len(transport_errors),
+        "uncaught_errors": uncaught,
         "breaker_transitions": len(breaker_records),
         "breaker_state": breaker_gauge,
         "ledger_inflight_journal": len(inflight_journal),
@@ -509,6 +512,8 @@ def _chaos_loadtest(
             f"{len(transport_errors)} transport error(s); "
             f"first: {transport_errors[0]}"
         )
+    if uncaught:
+        failed.append(f"{uncaught} exception(s) escaped a request handler")
     if outcomes["server_error"]:
         failed.append(
             f"{outcomes['server_error']} 5xx response(s): the breaker/"

@@ -1667,14 +1667,6 @@ def _cfg_serve(sub, ledger_flag) -> None:
         help=f"run ledger every request is recorded in (default: {DEFAULT_LEDGER})",
     )
     p.add_argument(
-        "--coalesce-window",
-        type=float,
-        default=0.02,
-        metavar="SECONDS",
-        help="how long the batcher waits to coalesce concurrent submissions "
-        "into one grid (default: 0.02)",
-    )
-    p.add_argument(
         "--access-log",
         metavar="FILE",
         default=None,
@@ -1991,7 +1983,6 @@ def _run_serve(args) -> OpResult:
         host=args.host,
         port=args.port,
         ledger=args.ledger,
-        coalesce_window=args.coalesce_window,
         access_log=args.access_log,
         flight_recorder=args.flight,
         max_queue_depth=args.max_queue_depth,

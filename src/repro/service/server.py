@@ -23,9 +23,9 @@ Requests and responses are schema-v8 stamped JSON
 request is assigned a 12-hex ``request_id``, echoed in the response
 body, the ``X-Request-Id`` header, the run-ledger argv and the optional
 ``--access-log`` JSONL line (see :mod:`repro.service.telemetry`).  The
-economics of the service are in the **coalescer**: concurrent
-submissions that arrive within ``coalesce_window`` seconds and share
-``(n, EvalOptions.stable_hash())`` are merged into a single
+economics of the service are in the **coalescer**: whatever is queued
+when the batcher becomes free forms one group, and the submissions in it
+that share ``(n, EvalOptions.stable_hash())`` are merged into a single
 :meth:`~repro.perf.batch.BatchEvaluator.evaluate_corpora` grid, so the
 flat closed-form pass and the process-wide
 :class:`~repro.perf.cache.CompileCache` amortize across clients.  All
@@ -291,8 +291,9 @@ class _Breaker:
 
 
 class _Batcher(threading.Thread):
-    """The single evaluation thread: drains the queue, coalesces
-    same-options submissions into one grid, runs it, slices results back.
+    """The single evaluation thread: takes what is already queued (it
+    never waits for company), coalesces same-options submissions into one
+    grid, runs it, slices results back.
 
     Serializing every evaluation through one thread is what makes the
     shared :class:`BatchEvaluator` (and its compile cache) safe without
@@ -305,7 +306,6 @@ class _Batcher(threading.Thread):
     def __init__(
         self,
         engine: BatchEvaluator,
-        window: float,
         telemetry: ServiceTelemetry | None = None,
         policy: ServicePolicy | None = None,
         chaos: ChaosPlan | None = None,
@@ -313,7 +313,6 @@ class _Batcher(threading.Thread):
     ) -> None:
         super().__init__(name="repro-batcher", daemon=False)
         self.engine = engine
-        self.window = window
         self.telemetry = telemetry
         self.policy = policy
         self.chaos = chaos if chaos else None  # an empty plan is no plan
@@ -385,13 +384,13 @@ class _Batcher(threading.Thread):
     def retry_after_estimate(self, depth: int) -> float:
         """Seconds until a queue of ``depth`` clears at the recent drain
         rate, clamped to [1, 60]; 1s with no history (a cold server
-        drains its first window almost immediately)."""
+        drains its first group almost immediately)."""
         now = time.monotonic()
         window = [(t, c) for t, c in self._drained if now - t <= 30.0]
         total = sum(c for _, c in window)
         if total <= 0:
             return 1.0
-        elapsed = max(now - window[0][0], self.window, 0.02)
+        elapsed = max(now - window[0][0], 0.02)
         rate = total / elapsed
         return min(max((depth + 1) / rate, 1.0), 60.0)
 
@@ -410,13 +409,9 @@ class _Batcher(threading.Thread):
                 continue
             batch = [submission]
             stop_after = False  # the coalesce loop may eat stop()'s sentinel
-            deadline = time.monotonic() + self.window
             while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
                 try:
-                    extra = self.queue.get(timeout=remaining)
+                    extra = self.queue.get_nowait()
                 except queue.Empty:
                     break
                 if extra is None:
@@ -598,7 +593,6 @@ class ReproService:
         host: str = "127.0.0.1",
         port: int = 8757,
         ledger: str = DEFAULT_LEDGER,
-        coalesce_window: float = 0.02,
         access_log: str | None = None,
         flight_recorder: int = 256,
         policy: ServicePolicy | None = None,
@@ -626,18 +620,16 @@ class ReproService:
             self.telemetry.set_breaker_state(BREAKER_CLOSED)
         self.batcher = _Batcher(
             self.engine,
-            coalesce_window,
             self.telemetry,
             policy=policy,
             chaos=self.chaos,
             breaker=self.breaker,
         )
         self.ledger = RunLedger(ledger, durable=ledger_durable)
-        self.coalesce_window = coalesce_window
         self.started_at = time.time()
         self.requests: dict[str, int] = {}
         self._sequence = 0
-        self._lock = threading.Lock()  # ledger + counters
+        self._lock = threading.Lock()  # request counters (RunLedger locks its appends)
         self._op_lock = threading.Lock()  # generic ops mutate global state
         self._closing = threading.Event()
         self._busy = 0
@@ -768,8 +760,7 @@ class ReproService:
             failures=tuple(f.as_dict() for f in failures),
             metrics=None,
         )
-        with self._lock:
-            self.ledger.append(record)
+        self.ledger.append(record)
         return record
 
     def _on_breaker_transition(self, old: int, new: int, reason: str) -> None:
@@ -801,8 +792,7 @@ class ReproService:
             error=reason if new != BREAKER_CLOSED else None,
             metrics=None,
         )
-        with self._lock:
-            self.ledger.append(record)
+        self.ledger.append(record)
 
     def recover_inflight(self) -> list[RunRecord]:
         """Finalize in-flight work a previous process never finished.
@@ -826,8 +816,7 @@ class ReproService:
                     "request exited before it finished"
                 ),
             )
-            with self._lock:
-                self.ledger.append(final)
+            self.ledger.append(final)
             lost.append(final)
         return lost
 
@@ -1017,7 +1006,6 @@ class ReproService:
                 "status": "ok",
                 "uptime_s": round(time.time() - self.started_at, 3),
                 "requests": counts,
-                "coalesce_window_s": self.coalesce_window,
                 "batch": dataclasses.asdict(self.engine.stats),
                 "cache": dataclasses.asdict(self.engine.cache.stats),
                 "ledger": self.ledger.path,
@@ -1037,7 +1025,6 @@ class ReproService:
             {
                 "uptime_s": round(time.time() - self.started_at, 3),
                 "requests": counts,
-                "coalesce_window_s": self.coalesce_window,
                 **self.telemetry.snapshot(),
             },
         )
@@ -1066,10 +1053,18 @@ class _Server(ThreadingHTTPServer):
         self.service = service
         super().__init__(address, handler)
 
+    def handle_error(self, request, client_address) -> None:
+        # Count the escaped exception for /v1/metrics and the chaos gate.
+        self.service.telemetry.record_uncaught()
+        super().handle_error(request, client_address)
+
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = f"repro-service/v{SCHEMA_VERSION}"
+    # TCP_NODELAY: a response goes out as headers then body, and Nagle would
+    # hold the body for the client's delayed ACK (~40 ms per round trip).
+    disable_nagle_algorithm = True
 
     # Per-request trace state, reset by _telemetry_begin for every request
     # this (keep-alive) handler serves.
@@ -1094,6 +1089,12 @@ class _Handler(BaseHTTPRequestHandler):
         super().setup()
         with self.service._conn_lock:
             self.service._connections.add(self.connection)
+
+    def handle_one_request(self) -> None:
+        try:
+            super().handle_one_request()
+        except ConnectionError:  # the client hung up: not a handler error
+            self.close_connection = True
 
     def finish(self) -> None:
         with self.service._conn_lock:
@@ -1632,7 +1633,6 @@ def serve_forever_op(
     host: str = "127.0.0.1",
     port: int = 8757,
     ledger: str = DEFAULT_LEDGER,
-    coalesce_window: float = 0.02,
     access_log: str | None = None,
     flight_recorder: int = 256,
     max_queue_depth: int | None = None,
@@ -1691,7 +1691,6 @@ def serve_forever_op(
         host=host,
         port=port,
         ledger=ledger,
-        coalesce_window=coalesce_window,
         access_log=access_log,
         flight_recorder=flight_recorder,
         policy=policy,

@@ -12,7 +12,7 @@ under "Operating the service":
   :class:`~repro.obs.metrics.MetricsRegistry` (lock-guarded: handler
   threads and the batcher all record into it) holding the
   ``service.*`` namespace — request/latency distributions, queue-depth
-  and in-flight gauges, per-op counters, coalesce-window occupancy —
+  and in-flight gauges, per-op counters, coalesced group sizes —
   plus every ``sim.*``/``sched.*``/``perf.*`` pipeline metric merged in
   from per-request collection.  Served by ``GET /v1/metrics`` (JSON, or
   ``?format=prom`` via :func:`repro.obs.export.prometheus_text`).
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 #: Bucket bounds for ``service.batch.coalesce_window_occupancy``:
-#: submissions per coalesced grid (powers of two up to 256).
+#: submissions per batcher group (powers of two up to 256).
 COALESCE_OCCUPANCY_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 def new_request_id() -> str:
@@ -222,6 +222,11 @@ class ServiceTelemetry:
         with self._lock:
             self.registry.count("service.request.deadline")
 
+    def record_uncaught(self) -> None:
+        """Count one exception that escaped a request handler."""
+        with self._lock:
+            self.registry.count("service.request.uncaught")
+
     def record_cpu(self, op: str, samples: int) -> None:
         """Attribute profiler samples to one op (``--profile-hz`` only).
 
@@ -242,8 +247,8 @@ class ServiceTelemetry:
             self.registry.set_gauge("service.breaker.state", state)
 
     def record_group(self, occupancy: int, collected: MetricsRegistry) -> None:
-        """Fold one coalesced batch run in: its window occupancy and the
-        per-request pipeline metrics collected on the batcher thread."""
+        """Fold one coalesced batch run in: the submissions in its group
+        and the per-request pipeline metrics collected on the batcher thread."""
         with self._lock:
             self.registry.record_value(
                 "service.batch.coalesce_window_occupancy",

@@ -143,7 +143,6 @@ def _snapshot():
         "op": "metrics",
         "uptime_s": 12.5,
         "requests": 1,
-        "coalesce_window_s": 0.02,
         **telemetry.snapshot(),
     }
 

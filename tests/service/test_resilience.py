@@ -98,32 +98,52 @@ class TestAdmissionControl:
 
 
 class TestDeadlines:
-    def test_queued_past_deadline_is_504_with_hint(self, tmp_path):
-        # A 1 ms budget cannot survive a 300 ms coalesce window: the
+    def test_queued_past_deadline_is_504_with_hint(self, tmp_path, hold_grid):
+        # A 1 ms budget cannot survive the wait behind a held grid: the
         # batcher must abandon the submission before evaluating it.  The
-        # chunk_timeout grace keeps the handler waiting past the window,
+        # chunk_timeout grace keeps the handler waiting past the hold,
         # so it reports the batcher's queued-expiry rather than its own
         # wait timeout.
         policy = ServicePolicy(chunk_timeout=5.0, journal_inflight=False)
         with ReproService(
             port=0,
             ledger=str(tmp_path / "ledger.jsonl"),
-            coalesce_window=0.3,
             policy=policy,
         ) as service:
-            status, body, _ = _request(
-                service,
-                "POST",
-                "/v1/evaluate",
-                _evaluate_body(deadline_s=0.001),
+            hold = hold_grid(service)
+            blocker = threading.Thread(
+                target=_request,
+                args=(service, "POST", "/v1/evaluate", _evaluate_body("hold")),
             )
+            blocker.start()
+            hold.wait_held()
+            replies = []
+            late = threading.Thread(
+                target=lambda: replies.append(
+                    _request(
+                        service,
+                        "POST",
+                        "/v1/evaluate",
+                        _evaluate_body(deadline_s=0.001),
+                    )
+                )
+            )
+            late.start()
+            hold.wait_queued(1)
+            time.sleep(0.01)  # the 1 ms budget lapses while it queues
+            hold.release()
+            late.join(60)
+            blocker.join(60)
+            status, body, _ = replies[0]
             assert status == 504
             assert body["kind"] == "error"
             assert body["hint"]["stage"] == "queued"
             assert body["hint"]["deadline_s"] == 0.001
             assert body["hint"]["queued_s"] >= 0.001
             records = service.ledger.load()
-            assert [r.outcome for r in records] == ["deadline"]
+            assert [
+                r.outcome for r in records if r.argv[-1] == body["request_id"]
+            ] == ["deadline"]
             counters = service.telemetry.snapshot()["metrics"]["counters"]
             assert counters["service.request.deadline"] == 1
 
@@ -135,7 +155,6 @@ class TestDeadlines:
         with ReproService(
             port=0,
             ledger=str(tmp_path / "ledger.jsonl"),
-            coalesce_window=0.01,
             policy=policy,
             chaos=plan,
         ) as service:
@@ -173,7 +192,6 @@ class TestCircuitBreaker:
         with ReproService(
             port=0,
             ledger=str(tmp_path / "ledger.jsonl"),
-            coalesce_window=0.01,
             policy=policy,
             chaos=plan,
         ) as service:
@@ -209,7 +227,6 @@ class TestCircuitBreaker:
         with ReproService(
             port=0,
             ledger=str(tmp_path / "ledger.jsonl"),
-            coalesce_window=0.01,
             policy=policy,
             chaos=plan,
         ) as service:
@@ -230,7 +247,6 @@ class TestCircuitBreaker:
         with ReproService(
             port=0,
             ledger=str(tmp_path / "ledger.jsonl"),
-            coalesce_window=0.01,
             chaos=plan,
         ) as service:
             status, body, _ = _request(
@@ -316,13 +332,14 @@ class TestInflightJournal:
 
 
 class TestShutdownDrain:
-    def test_streaming_request_survives_shutdown(self, tmp_path):
-        """Satellite 4: shutdown with an in-flight *streaming* request —
-        the stream still ends in a well-formed terminal line, a late
-        request gets a stamped 503, and no batcher thread is orphaned."""
+    def test_streaming_request_survives_shutdown(self, tmp_path, hold_grid):
+        """Shutdown with an in-flight *streaming* request — the stream
+        still ends in a well-formed terminal line, a late request gets a
+        stamped 503, and no batcher thread is orphaned."""
         with ReproService(
-            port=0, ledger=str(tmp_path / "ledger.jsonl"), coalesce_window=0.25
+            port=0, ledger=str(tmp_path / "ledger.jsonl")
         ) as service:
+            hold = hold_grid(service)
             connection = HTTPConnection(service.host, service.port, timeout=60)
             connection.request(
                 "POST",
@@ -330,10 +347,12 @@ class TestShutdownDrain:
                 body=json.dumps(_evaluate_body(stream=True)),
                 headers={"Content-Type": "application/json"},
             )
-            time.sleep(0.05)  # the submission is queued, the window open
+            hold.wait_held()  # the stream's own grid is running, held
 
             shutdown = threading.Thread(target=service.shutdown)
             shutdown.start()
+            assert service._closing.wait(30)  # the drain has begun
+            hold.release()
             response = connection.getresponse()
             lines = [
                 json.loads(line)
@@ -425,6 +444,7 @@ class TestChaosLoadtest:
         assert block["requests"] == 40
         assert block["malformed_responses"] == 0
         assert block["ledger_unfinished"] == 0
+        assert block["uncaught_errors"] == 0
         assert sum(block["injected"].values()) > 0
 
     def test_chaos_rejects_external_url(self):

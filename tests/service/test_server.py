@@ -8,6 +8,8 @@ the same path ``make serve-smoke`` and ``repro loadtest`` exercise
 
 import json
 import multiprocessing
+import socket
+import struct
 import threading
 import time
 from http.client import HTTPConnection
@@ -83,9 +85,16 @@ class TestEvaluate:
         # per-request metrics snapshots are deliberately off (docs/service.md)
         assert records[-1].metrics is None
 
-    def test_concurrent_identical_submissions_coalesce(self, service):
-        """jobs=1 ≡ jobs=N: concurrent identical requests are answered
-        from one grid and all see the same bytes."""
+    def test_concurrent_identical_submissions_coalesce(self, service, hold_grid):
+        """jobs=1 ≡ jobs=N: identical requests queued together are
+        answered from one grid and all see the same bytes."""
+        hold = hold_grid(service)
+        blocker = threading.Thread(
+            target=_request,
+            args=(service, "POST", "/v1/evaluate", _evaluate_body("hold")),
+        )
+        blocker.start()
+        hold.wait_held()
         results, workers = [None] * 8, []
 
         def submit(index):
@@ -97,7 +106,9 @@ class TestEvaluate:
             worker = threading.Thread(target=submit, args=(index,))
             workers.append(worker)
             worker.start()
-        for worker in workers:
+        hold.wait_queued(len(results))
+        hold.release()
+        for worker in workers + [blocker]:
             worker.join()
 
         assert all(status == 200 for status, _ in results)
@@ -111,7 +122,35 @@ class TestEvaluate:
         ]
         assert len(set(bodies)) == 1, "coalesced submissions must be identical"
         assert len({body["request_id"] for _, body in results}) == len(results)
-        assert results[0][1]["coalesced"] >= 1
+        assert all(body["coalesced"] == len(results) for _, body in results)
+
+    def test_keep_alive_round_trips_have_no_dead_time(self, service):
+        """A lone client on one keep-alive connection waits for nobody:
+        no batching window, and no Nagle stall holding the response body
+        until the client's delayed ACK."""
+        body = json.dumps(_evaluate_body("keep-alive"))
+        connection = HTTPConnection(service.host, service.port, timeout=60)
+
+        def roundtrip():
+            connection.request(
+                "POST",
+                "/v1/evaluate",
+                body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+
+        try:
+            assert roundtrip()[0] == 200  # warm-up: compiles the loop
+            started = time.perf_counter()
+            replies = [roundtrip() for _ in range(20)]
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert all(status == 200 for status, _ in replies)
+        assert all(reply["coalesced"] == 1 for _, reply in replies)
+        assert elapsed < 0.3, f"20 keep-alive round trips took {elapsed:.3f}s"
 
     def test_streaming_ends_with_result_line(self, service):
         connection = HTTPConnection(service.host, service.port, timeout=60)
@@ -308,6 +347,43 @@ def _poll(fetch, done, timeout=2.0):
         if done(value) or time.monotonic() >= deadline:
             return value
         time.sleep(0.02)
+
+
+class TestHandlerErrors:
+    def test_uncaught_handler_error_is_counted(self, tmp_path, monkeypatch, capsys):
+        """An exception that escapes a handler is counted in the
+        telemetry registry and still printed the stdlib way."""
+        with ReproService(port=0, ledger=str(tmp_path / "l.jsonl")) as fresh:
+
+            def explode():
+                raise RuntimeError("injected handler failure")
+
+            monkeypatch.setattr(fresh, "health_payload", explode)
+            with pytest.raises(ConnectionError):
+                _request(fresh, "GET", "/v1/healthz")
+            counters = _poll(
+                lambda: dict(fresh.telemetry.registry.counters),
+                lambda c: "service.request.uncaught" in c,
+            )
+            assert counters["service.request.uncaught"] == 1
+        assert "injected handler failure" in capsys.readouterr().err
+
+    def test_client_reset_is_not_a_handler_error(self, tmp_path):
+        """A client that resets its keep-alive connection with a response
+        still unread ends the connection; nothing is counted as escaped."""
+        with ReproService(port=0, ledger=str(tmp_path / "l.jsonl")) as fresh:
+            client = socket.create_connection((fresh.host, fresh.port))
+            # linger 0: close() sends RST instead of FIN
+            client.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            client.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            assert client.recv(1)  # the response has begun; the rest is unread
+            client.close()
+            _poll(lambda: set(fresh._connections), lambda open_: not open_)
+            assert not fresh._connections
+            counters = fresh.telemetry.registry.counters
+            assert "service.request.uncaught" not in counters
 
 
 class TestRequestIds:
