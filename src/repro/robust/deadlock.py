@@ -3,11 +3,12 @@
 The pre-robustness simulator could only say ``"exceeded max_cycles
 (deadlock?)"`` after walking millions of useless cycles.  This module
 replaces that with a wait-for-graph detector: the semantic executor
-(:func:`repro.sim.executor.execute_parallel`) fires it the moment every
-non-finished processor is blocked in a ``Wait_Signal`` with no signal in
-flight, and the timing walk (:func:`repro.sim.multiproc.
-simulate_doacross`) fires it the moment a wait depends on a delivery the
-:class:`~repro.robust.faults.FaultPlan` dropped.
+(:func:`repro.sim.executor.execute_parallel`) fires it the moment no
+processor has a pending event — every non-finished processor is parked
+in a ``Wait_Signal`` whose signal is unsent or dropped — and the timing
+walk (:func:`repro.sim.multiproc.simulate_doacross`) fires it the moment
+a wait depends on a delivery the :class:`~repro.robust.faults.FaultPlan`
+dropped.
 
 The result is a :class:`DeadlockError` carrying one :class:`BlockedWait`
 per stuck processor, the orphaned ``(signal, producer-iteration)`` pairs

@@ -154,8 +154,8 @@ def run_fuzz(
     Deterministic in ``(cases, seed, executor_every)``.  The semantic
     executor (the expensive oracle) runs on every ``executor_every``-th
     case and on every drop case; the timing differentials run on all of
-    them.  At the generator's trip counts the full 200-case default with
-    the executor on every case finishes in ~1 s.
+    them.  At the generator's trip counts ``repro fuzz --cases 200`` (the
+    executor on every case) takes ~0.75 s of wall time on a 2-core host.
     """
     from repro.pipeline import compile_loop
     from repro.sched import figure4_machine, list_schedule, paper_machine, sync_schedule

@@ -1,9 +1,8 @@
 """Semantic parallel execution of a scheduled DOACROSS loop.
 
 This is the ground-truth machine: every processor executes its iteration's
-scheduled bundles against *real shared memory*, cycle by cycle, blocking at
-waits until the signal is visible.  Its two outputs cross-check the rest of
-the system:
+scheduled bundles against *real shared memory*, blocking at waits until the
+signal is visible.  Its two outputs cross-check the rest of the system:
 
 * the final :class:`~repro.sim.memory.MemoryImage` must equal the serial
   interpreter's (a stale-data read — the bug the synchronization conditions
@@ -11,17 +10,30 @@ the system:
 * the measured completion times must equal the analytic timing simulation
   (:mod:`repro.sim.multiproc`) exactly.
 
+Every cycle is modeled, but only cycles in which some processor can issue
+are visited.  The schedule is decoded once into a per-cycle table that all
+processors share, and a heap of ``(cycle, rank)`` events says who acts
+next: a processor re-enters after an injected stall, at the cycle the
+signal it waits for becomes visible, or — parked on a signal not yet sent —
+when the producer's ``Send_Signal`` issues.  A signal sent at cycle ``t`` is
+visible to every processor from ``t + signal_latency`` (plus any injected
+delay), whatever their ranks.
+
 Within one global cycle all loads read memory as of the cycle start and all
-stores commit at the end, so a (schedule-bug) same-cycle read/write race is
-resolved deterministically — and flagged by the memory comparison.
+stores commit at the end, in rank order, so a (schedule-bug) same-cycle
+read/write race is resolved deterministically — and flagged by the memory
+comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import operator
+from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
-from repro.codegen.isa import Instruction, Opcode, Operand, WORD_SIZE
+from repro.codegen.isa import Instruction, Opcode, WORD_SIZE
 from repro.ir.ast_nodes import Const
 from repro.ir.symbols import VarType
 from repro.obs.metrics import count as metric_count
@@ -32,8 +44,6 @@ from repro.sim.memory import MemoryImage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ir.dataflow import DataFlowGraph
-
-Number = float | int
 
 
 def default_max_cycles(
@@ -85,166 +95,136 @@ class ExecutionResult:
     finish_times: list[int]
 
 
-class _Processor:
-    """In-order execution state of one processor, running its assigned
-    iterations back to back (a single iteration in the paper's setting)."""
+# Decoded operations: (kind, ...) tuples, see _decode_op.
+_ALU, _NEG, _LOAD, _STORE, _SEND = range(5)
+# Where a load or store goes: processor-private stack, scalar or array cell.
+_PRIVATE, _SCALAR, _ARRAY = range(3)
 
-    def __init__(
-        self,
-        schedule: Schedule,
-        iterations: list[int],
-        rank: int = 0,
-        lower: int = 1,
-        faults: FaultPlan | None = None,
-    ) -> None:
-        self.schedule = schedule
-        self.lowered = schedule.lowered
-        self.bundles = schedule.bundles()
-        self.iterations = iterations
-        self.rank = rank
-        self.lower = lower  # loop lower bound; fault iterations are relative to it
-        self.faults = faults
-        self.slot = 0  # index into self.iterations
-        self.local_cycle = 1  # next local cycle to issue
-        self.next_issue = 1  # global time the next bundle may issue
-        self.iter_finish = 0  # completion time of the current iteration so far
-        self.finishes: dict[int, int] = {}  # iteration -> completion time
-        self.regs: dict[str, Number] = {}
-        self.stack: dict[str, float] = {}
-        self.fault_base = 0  # global cycle the current iteration nominally starts
-        self.fault_stalls: dict[int, int] = {}  # local cycle -> injected stall
-        self.blocked_t = 0  # last global cycle this processor blocked at a wait
-        self.blocked_on: tuple[int, str, int, int, bool] | None = None
-        if iterations:
-            self._load_iteration()
+_BINARY = {
+    Opcode.IADD: operator.add,
+    Opcode.FADD: operator.add,
+    Opcode.ISUB: operator.sub,
+    Opcode.FSUB: operator.sub,
+    Opcode.SHIFT: operator.mul,
+    Opcode.IMUL: operator.mul,
+    Opcode.FMUL: operator.mul,
+    Opcode.IDIV: operator.floordiv,
+    Opcode.FDIV: operator.truediv,
+}
+_COMPARE = {
+    "<": lambda a, b: int(a < b),
+    ">": lambda a, b: int(a > b),
+    "<=": lambda a, b: int(a <= b),
+    ">=": lambda a, b: int(a >= b),
+    "==": lambda a, b: int(a == b),
+    "!=": lambda a, b: int(a != b),
+}
 
-    @property
-    def iteration(self) -> int:
-        return self.iterations[self.slot]
 
-    def _load_iteration(self) -> None:
-        self.local_cycle = 1
-        self.iter_finish = 0
-        self.regs = {self.lowered.synced.loop.index: self.iteration}
-        self.stack: dict[str, float] = {}  # processor-private (spill) cells
-        if self.faults:
-            self.fault_base = self.next_issue - 1
-            stalls: dict[int, int] = {}
-            rel = self.iteration - self.lower + 1
-            for cycle, extra in self.faults.injected_stalls(rel, len(self.bundles)):
-                if cycle <= len(self.bundles):
-                    stalls[cycle] = stalls.get(cycle, 0) + extra
-            self.fault_stalls = stalls
+def _decode_op(instr: Instruction) -> tuple:
+    """One non-wait instruction as a dispatch tuple:
 
-    def done(self) -> bool:
-        return self.slot >= len(self.iterations)
+    * ``(_ALU, dest, fn, a, b)`` — arithmetic and compares;
+    * ``(_NEG, dest, a)``;
+    * ``(_LOAD, dest, variable, address, where)``;
+    * ``(_STORE, pred, fn, a, b, variable, address, where)`` — ``fn`` is
+      the fused operator of a ``STORE_OP``, ``None`` for a plain store;
+    * ``(_SEND, source_label)``.
+    """
+    opcode = instr.opcode
+    if opcode is Opcode.SEND:
+        assert instr.sync is not None
+        return (_SEND, instr.sync.source_label)
+    mem = instr.mem
+    if mem is not None:
+        where = _PRIVATE if mem.private else _SCALAR if mem.is_scalar else _ARRAY
+        if opcode is Opcode.LOAD:
+            return (_LOAD, instr.dest, mem.variable, mem.address, where)
+        if opcode is Opcode.STORE:
+            return (_STORE, instr.pred, None, instr.srcs[0], None, mem.variable, mem.address, where)
+        assert instr.fused is not None
+        a, b = instr.srcs
+        return (_STORE, instr.pred, _BINARY[instr.fused], a, b, mem.variable, mem.address, where)
+    if opcode in (Opcode.INEG, Opcode.FNEG):
+        return (_NEG, instr.dest, instr.srcs[0])
+    a, b = instr.srcs
+    if opcode in (Opcode.ICMP, Opcode.FCMP):
+        assert instr.cmp is not None
+        return (_ALU, instr.dest, _COMPARE[instr.cmp], a, b)
+    return (_ALU, instr.dest, _BINARY[opcode], a, b)
 
-    def due(self, t: int) -> bool:
-        return not self.done() and self.next_issue == t
 
-    def bundle(self) -> list[Instruction]:
-        iids = self.bundles[self.local_cycle - 1]
-        return [self.lowered.instruction(iid) for iid in iids]
-
-    def advance(self, t: int) -> None:
-        """Move past the bundle just issued at global time ``t``."""
-        if self.faults and self.local_cycle == len(self.bundles):
-            # Walk-consistent completion under faults: the timing model's
-            # finish is start + length + (final issue delay), and the last
-            # bundle's delay is exactly t - (start + its local cycle).
-            self.iter_finish = max(
-                self.iter_finish,
-                self.fault_base
-                + self.schedule.length
-                + (t - (self.fault_base + self.local_cycle)),
+def _decode(schedule: Schedule) -> list[tuple[int, tuple, tuple]]:
+    """Per local cycle: the bundle's tail (its largest unit latency minus
+    1), its waits as ``(pair_id, source_label, distance)``, and its other
+    instructions in iid order as :func:`_decode_op` tuples."""
+    lowered = schedule.lowered
+    latency = schedule.machine.latency
+    table = []
+    for iids in schedule.bundles():
+        bundle = [lowered.instruction(iid) for iid in iids]
+        waits = []
+        for instr in bundle:
+            if instr.opcode is Opcode.WAIT:
+                assert instr.sync is not None and instr.sync.distance is not None
+                waits.append((instr.sync.pair_ids[0], instr.sync.source_label, instr.sync.distance))
+        table.append(
+            (
+                max((latency(instr.fu) for instr in bundle), default=1) - 1,
+                tuple(waits),
+                tuple(_decode_op(instr) for instr in bundle if instr.opcode is not Opcode.WAIT),
             )
-        self.local_cycle += 1
-        if self.local_cycle > len(self.bundles):
-            self.finishes[self.iteration] = self.iter_finish
-            self.slot += 1
-            if not self.done():
-                # the next iteration starts the cycle after completion
-                self.next_issue = max(self.iter_finish + 1, t + 1)
-                self._load_iteration()
-        else:
-            self.next_issue = t + 1
+        )
+    return table
 
-    def operand(self, op: Operand, memory: MemoryImage, symbols) -> Number:
+
+class _Registers(dict):
+    """One iteration's register file.  A miss is an immediate operand, or
+    a loop-invariant scalar register loaded from memory on first use."""
+
+    __slots__ = ("memory", "symbols")
+
+    def __missing__(self, op):
         if not isinstance(op, str):
             return op
-        if op in self.regs:
-            return self.regs[op]
-        # A loop-invariant scalar register, pre-loaded before the loop.
-        value = memory.read_scalar(op)
-        if op in symbols and symbols[op].var_type is VarType.INT:
+        value = self.memory.read_scalar(op)
+        if op in self.symbols and self.symbols[op].var_type is VarType.INT:
             value = int(value)
-        self.regs[op] = value
+        self[op] = value
         return value
 
 
-def _compare(op: str, a: Number, b: Number) -> int:
-    if op == "<":
-        return int(a < b)
-    if op == ">":
-        return int(a > b)
-    if op == "<=":
-        return int(a <= b)
-    if op == ">=":
-        return int(a >= b)
-    if op == "==":
-        return int(a == b)
-    if op == "!=":
-        return int(a != b)
-    raise ValueError(op)
+@dataclass(slots=True)
+class _Processor:
+    """Execution state of one processor, running its assigned iterations
+    back to back (a single iteration in the paper's setting)."""
+
+    rank: int
+    iterations: list[int]
+    slot: int = 0  # index into iterations
+    iteration: int = 0  # iterations[slot]
+    local: int = 1  # next local cycle to issue
+    finish: int = 0  # completion time of the current iteration so far
+    regs: _Registers = field(default_factory=_Registers)
+    stack: dict = field(default_factory=dict)  # processor-private (spill) cells
+    stalls: dict = field(default_factory=dict)  # local cycle -> injected stall
+    # The wait it is parked at: (pair_id, label, producer, rel, dropped),
+    # and that signal's injected delay.
+    blocked_on: tuple = ()
+    delay: int = 0
 
 
-def _alu(opcode: Opcode, a: Number, b: Number) -> Number:
-    if opcode in (Opcode.IADD, Opcode.FADD):
-        return a + b
-    if opcode in (Opcode.ISUB, Opcode.FSUB):
-        return a - b
-    if opcode in (Opcode.SHIFT, Opcode.IMUL, Opcode.FMUL):
-        return a * b
-    if opcode is Opcode.IDIV:
-        return a // b
-    if opcode is Opcode.FDIV:
-        return a / b
-    raise ValueError(opcode)
-
-
-def _check_deadlock(
-    procs: list[_Processor],
-    signals: dict[tuple[str, int], int],
-    signal_latency: int,
-    faults: FaultPlan | None,
-    t: int,
-) -> None:
-    """Raise :class:`DeadlockError` if no processor can ever issue again.
-
-    Fires only when *every* non-finished processor blocked in a
-    ``Wait_Signal`` this very cycle.  A blocked wait whose signal has been
-    sent (and not dropped) is merely riding out latency — it will become
-    visible and unblock its processor, so that is not a deadlock.
-    Everything else means the awaited sends can only come from processors
-    that are themselves blocked: a hang, reported at the cycle it begins
-    instead of after ``max_cycles`` of useless walking.
-    """
-    active = [p for p in procs if not p.done()]
-    if not active:
-        return
-    for p in active:
-        if p.blocked_t != t or p.blocked_on is None:
-            return  # someone issued (or is mid-stall): progress is possible
-    finished: set[int] = set()
+def _blocked_waits(
+    procs: list[_Processor], finishes: dict[int, int], lower: int
+) -> tuple[BlockedWait, ...]:
+    """The diagnosis of a hang: one entry per unfinished processor, each
+    parked at a wait whose signal is unsent or dropped."""
+    blocked = []
     for p in procs:
-        finished.update(p.finishes)
-    blocked: list[BlockedWait] = []
-    for p in active:
+        if p.slot >= len(p.iterations):
+            continue
         pair_id, label, producer, rel, dropped = p.blocked_on
-        sent = signals.get((label, producer))
-        if not dropped and sent is not None:
-            return  # in flight: visible at sent + latency (+ delay), not a hang
-        orphaned = dropped or producer in finished
+        orphaned = dropped or producer in finishes
         if dropped:
             reason = "Send_Signal delivery dropped by fault plan"
         elif orphaned:
@@ -254,21 +234,16 @@ def _check_deadlock(
         blocked.append(
             BlockedWait(
                 processor=p.rank,
-                iteration=p.iteration - p.lower + 1,
+                iteration=p.iteration - lower + 1,
                 pair_id=pair_id,
                 source_label=label,
                 producer_iteration=rel,
-                wait_cycle=p.local_cycle,
+                wait_cycle=p.local,
                 orphaned=orphaned,
                 reason=reason,
             )
         )
-    metric_count("robust.deadlock.detected")
-    raise DeadlockError(
-        tuple(blocked),
-        at_cycle=t,
-        plan_label=faults.label if faults else "",
-    )
+    return tuple(blocked)
 
 
 def execute_parallel(
@@ -288,14 +263,16 @@ def execute_parallel(
     Iterations are numbered from the loop's lower bound (which must be a
     constant, as DOACROSS iteration numbering is absolute) and mapped to
     processors per ``mapping`` ("cyclic" or "block"), matching
-    :func:`repro.sim.multiproc.simulate_doacross`.
+    :func:`repro.sim.multiproc.simulate_doacross`, which also sets the
+    argument checks.
 
-    A hang is detected the moment every non-finished processor is blocked
-    in a ``Wait_Signal`` with no signal in flight, and raised as a
-    structured :class:`~repro.robust.deadlock.DeadlockError`;
-    ``max_cycles`` (default :func:`default_max_cycles`) remains only as a
-    runaway backstop.  ``faults`` injects deliberate mis-synchronization
-    (see :mod:`repro.robust.faults`; fault iteration numbers are 1-based
+    A hang is detected the moment no processor has a pending event —
+    every non-finished processor is parked in a ``Wait_Signal`` whose
+    signal is unsent or dropped — and raised as a structured
+    :class:`~repro.robust.deadlock.DeadlockError`; ``max_cycles`` (default
+    :func:`default_max_cycles`) remains only as a runaway backstop.
+    ``faults`` injects deliberate mis-synchronization (see
+    :mod:`repro.robust.faults`; fault iteration numbers are 1-based
     relative to the loop's lower bound, matching the timing walk).
     ``graph`` only sharpens the default ``max_cycles`` bound.
     """
@@ -309,146 +286,167 @@ def execute_parallel(
         if not isinstance(loop.upper, Const):
             raise ValueError("symbolic loop bounds require an explicit n")
         n = int(loop.upper.value) - lower + 1
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if processors is None or processors >= n:
         processors = max(n, 1)
+    if n > 0 and processors < 1:
+        raise ValueError("need at least one processor")
     if signal_latency < 0:
         raise ValueError("signal latency must be non-negative")
 
     from repro.sim.multiproc import iteration_mapping
 
-    machine = schedule.machine
     procs = [
-        _Processor(
-            schedule,
-            [lower + k - 1 for k in assigned],
-            rank=rank,
-            lower=lower,
-            faults=faults,
-        )
+        _Processor(rank, [lower + k - 1 for k in assigned])
         for rank, assigned in enumerate(iteration_mapping(n, processors, mapping))
     ]
-    signals: dict[tuple[str, int], int] = {}  # (source label, iteration) -> send cycle
     if max_cycles is None:
         max_cycles = default_max_cycles(
             schedule, n, signal_latency, faults=faults, graph=graph
         )
+    table = _decode(schedule)
+    last = len(table)
+    index = loop.index
+    faulty = bool(faults)
+    if faulty and table:
+        # Walk-consistent completion under faults: the timing model's
+        # finish is start + length + (the final bundle's issue delay).
+        _, waits, ops = table[-1]
+        table[-1] = (schedule.length - last, waits, ops)
 
+    def start(p: _Processor, at: int) -> None:
+        """Load ``p``'s current iteration and queue its first bundle at ``at``."""
+        p.iteration = p.iterations[p.slot]
+        p.local = 1
+        p.finish = 0
+        p.regs = _Registers({index: p.iteration})
+        p.regs.memory = memory
+        p.regs.symbols = symbols
+        p.stack = {}
+        if faulty:
+            stalls: dict[int, int] = {}
+            for cycle, extra in faults.injected_stalls(p.iteration - lower + 1, last):
+                if cycle <= last:
+                    stalls[cycle] = stalls.get(cycle, 0) + extra
+            p.stalls = stalls
+        heappush(heap, (at, p.rank))
+
+    @functools.cache
+    def fault_of(pair_id: int, rel: int) -> tuple[bool, int]:
+        """(dropped, extra latency) of one (pair, producer) signal."""
+        assert faults is not None
+        return faults.drops_signal(pair_id, rel), faults.signal_delay(pair_id, rel)
+
+    def ready(p: _Processor, waits: tuple, t: int) -> bool:
+        """Whether every wait of the bundle is satisfied at ``t``; if not,
+        park ``p`` or queue it for the cycle the signal becomes visible.
+        A bundle containing an unsatisfied wait stalls whole."""
+        for pair_id, label, distance in waits:
+            producer = p.iteration - distance
+            if producer < lower:
+                continue
+            rel = producer - lower + 1
+            dropped, delay = fault_of(pair_id, rel) if faulty else (False, 0)
+            sent = signals.get((label, producer))
+            if dropped or sent is None:
+                p.blocked_on = (pair_id, label, producer, rel, dropped)
+                if not dropped:  # a dropped delivery parks it for good
+                    p.delay = delay
+                    parked.setdefault((label, producer), []).append(p.rank)
+                return False
+            visible = sent + signal_latency + delay
+            if visible > t:
+                heappush(heap, (visible, p.rank))
+                return False
+        return True
+
+    heap: list[tuple[int, int]] = []
+    signals: dict[tuple[str, int], int] = {}  # (source label, iteration) -> send cycle
+    parked: dict[tuple[str, int], list[int]] = {}  # unsent signal -> waiting ranks
+    finishes: dict[int, int] = {}  # iteration -> completion time
+    for p in procs:
+        if p.iterations:
+            start(p, 1)
     t = 0
-    while any(not p.done() for p in procs):
-        t += 1
+    while heap:
+        t = heap[0][0]
         if t > max_cycles:
             raise RuntimeError(f"parallel execution exceeded {max_cycles} cycles (deadlock?)")
-        store_buffer: list[tuple[str, int | None, float]] = []
-        for p in procs:
-            if not p.due(t):
+        stores: list[tuple[int, str, int | None, float]] = []
+        while heap and heap[0][0] == t:
+            rank = heappop(heap)[1]
+            p = procs[rank]
+            extra = p.stalls.pop(p.local, 0) if p.stalls else 0
+            if extra:
+                # Injected freeze: applied *before* the bundle (and any
+                # wait in it) is considered, matching the timing walk's
+                # stall-before-wait event order.
+                heappush(heap, (t + extra, rank))
                 continue
-            if faults:
-                extra = p.fault_stalls.pop(p.local_cycle, 0)
-                if extra:
-                    # Injected freeze: applied *before* the bundle (and any
-                    # wait in it) is considered, matching the timing walk's
-                    # stall-before-wait event order.
-                    p.next_issue = t + extra
-                    continue
-            bundle = p.bundle()
-            # A bundle containing an unsatisfied wait stalls whole.
-            blocked: tuple[int, str, int, int, bool] | None = None
-            for instr in bundle:
-                if instr.opcode is Opcode.WAIT:
-                    assert instr.sync is not None and instr.sync.distance is not None
-                    producer = p.iteration - instr.sync.distance
-                    if producer >= lower:
-                        pair_id = instr.sync.pair_ids[0]
-                        rel = producer - lower + 1
-                        dropped = bool(faults) and faults.drops_signal(pair_id, rel)
-                        extra_latency = (
-                            faults.signal_delay(pair_id, rel) if faults else 0
-                        )
-                        sent = signals.get((instr.sync.source_label, producer))
-                        if dropped or sent is None or (
-                            sent + signal_latency + extra_latency > t
-                        ):
-                            blocked = (
-                                pair_id,
-                                instr.sync.source_label,
-                                producer,
-                                rel,
-                                dropped,
-                            )
-                            break
-            if blocked is not None:
-                p.blocked_t = t
-                p.blocked_on = blocked
-                p.next_issue = t + 1
+            tail, waits, ops = table[p.local - 1]
+            if waits and not ready(p, waits, t):
                 continue
-            for instr in bundle:
-                latency = machine.latency(instr.fu)
-                p.iter_finish = max(p.iter_finish, t + latency - 1)
-                if instr.opcode is Opcode.WAIT:
-                    continue
-                if instr.opcode is Opcode.SEND:
-                    assert instr.sync is not None
-                    signals[(instr.sync.source_label, p.iteration)] = t
-                    continue
-                if instr.opcode is Opcode.LOAD:
-                    assert instr.mem is not None and instr.dest is not None
-                    if instr.mem.private:
-                        value = p.stack[instr.mem.variable]
-                    elif instr.mem.is_scalar:
-                        value = memory.read(instr.mem.variable, None)
+            regs = p.regs
+            for op in ops:
+                kind = op[0]
+                if kind == _ALU:
+                    regs[op[1]] = op[2](regs[op[3]], regs[op[4]])
+                elif kind == _LOAD:
+                    _, dest, variable, address, where = op
+                    if where == _PRIVATE:
+                        regs[dest] = p.stack[variable]
+                    elif where == _SCALAR:
+                        regs[dest] = memory.read(variable, None)
                     else:
-                        addr = p.operand(instr.mem.address, memory, symbols)
-                        value = memory.read(instr.mem.variable, int(addr) // WORD_SIZE)
-                    p.regs[instr.dest] = value
-                    continue
-                if instr.opcode in (Opcode.ICMP, Opcode.FCMP):
-                    assert instr.dest is not None and instr.cmp is not None
-                    a = p.operand(instr.srcs[0], memory, symbols)
-                    b = p.operand(instr.srcs[1], memory, symbols)
-                    p.regs[instr.dest] = _compare(instr.cmp, a, b)
-                    continue
-                if instr.opcode in (Opcode.STORE, Opcode.STORE_OP):
-                    assert instr.mem is not None
-                    if instr.pred is not None and not p.operand(
-                        instr.pred, memory, symbols
-                    ):
+                        cell = int(regs[address]) // WORD_SIZE
+                        regs[dest] = memory.read(variable, cell)
+                elif kind == _STORE:
+                    _, pred, fn, a, b, variable, address, where = op
+                    if pred is not None and not regs[pred]:
                         continue  # predicated off: no memory effect
-                    if instr.opcode is Opcode.STORE:
-                        value = p.operand(instr.srcs[0], memory, symbols)
+                    if fn is None:
+                        value = float(regs[a])
                     else:
-                        assert instr.fused is not None
-                        a = p.operand(instr.srcs[0], memory, symbols)
-                        b = p.operand(instr.srcs[1], memory, symbols)
-                        value = _alu(instr.fused, a, b)
-                    if instr.mem.private:
+                        value = float(fn(regs[a], regs[b]))
+                    if where == _PRIVATE:
                         # processor-local stack slot: no global visibility,
                         # committed immediately (nobody else can race on it)
-                        p.stack[instr.mem.variable] = float(value)
-                    elif instr.mem.is_scalar:
-                        store_buffer.append((instr.mem.variable, None, float(value)))
+                        p.stack[variable] = value
+                    elif where == _SCALAR:
+                        stores.append((rank, variable, None, value))
                     else:
-                        addr = p.operand(instr.mem.address, memory, symbols)
-                        store_buffer.append(
-                            (instr.mem.variable, int(addr) // WORD_SIZE, float(value))
-                        )
-                    continue
-                if instr.opcode in (Opcode.INEG, Opcode.FNEG):
-                    assert instr.dest is not None
-                    p.regs[instr.dest] = -p.operand(instr.srcs[0], memory, symbols)
-                    continue
-                # plain ALU operation
-                assert instr.dest is not None
-                a = p.operand(instr.srcs[0], memory, symbols)
-                b = p.operand(instr.srcs[1], memory, symbols)
-                p.regs[instr.dest] = _alu(instr.opcode, a, b)
-            p.advance(t)
-        for name, index, value in store_buffer:
-            memory.write(name, index, value)
-        _check_deadlock(procs, signals, signal_latency, faults, t)
+                        cell = int(regs[address]) // WORD_SIZE
+                        stores.append((rank, variable, cell, value))
+                elif kind == _NEG:
+                    regs[op[1]] = -regs[op[2]]
+                else:  # _SEND: wake whoever is parked on it
+                    key = (op[1], p.iteration)
+                    signals[key] = t
+                    for waiter in parked.pop(key, ()):
+                        heappush(heap, (t + signal_latency + procs[waiter].delay, waiter))
+            if t + tail > p.finish:
+                p.finish = t + tail
+            if p.local < last:
+                p.local += 1
+                heappush(heap, (t + 1, rank))
+                continue
+            finishes[p.iteration] = p.finish
+            p.slot += 1
+            if p.slot < len(p.iterations):
+                # the next iteration starts the cycle after completion
+                start(p, max(p.finish + 1, t + 1))
+        stores.sort(key=operator.itemgetter(0))
+        for _, name, cell, value in stores:
+            memory.write(name, cell, value)
 
-    finishes: dict[int, int] = {}
-    for p in procs:
-        finishes.update(p.finishes)
+    if len(finishes) < n:
+        metric_count("robust.deadlock.detected")
+        raise DeadlockError(
+            _blocked_waits(procs, finishes, lower),
+            at_cycle=t,
+            plan_label=faults.label if faults else "",
+        )
     finish_times = [finishes[lower + i] for i in range(n)]
     return ExecutionResult(
         memory=memory,

@@ -89,12 +89,18 @@ class TestSignalLatency:
 
     def test_executor_agrees_on_latency(self):
         compiled, schedule = schedule_for("DO I = 1, 20\n A(I) = A(I-1) + X(I)\nENDDO")
-        for latency in (0, 1, 3, 7):
-            sim = simulate_doacross(schedule, signal_latency=latency)
-            if latency == 0:
-                continue  # executor models visible-next-cycle and later only
-            result = execute_parallel(schedule, MemoryImage(), signal_latency=latency)
-            assert result.parallel_time == sim.parallel_time
+        reference = run_serial(compiled.synced.loop, MemoryImage())
+        for processors in (None, 7, 3, 2):
+            for latency in (0, 1, 3, 7):
+                sim = simulate_doacross(
+                    schedule, processors=processors, signal_latency=latency
+                )
+                result = execute_parallel(
+                    schedule, MemoryImage(), processors=processors, signal_latency=latency
+                )
+                assert result.parallel_time == sim.parallel_time, (processors, latency)
+                assert result.finish_times == sim.finish_times, (processors, latency)
+                assert result.memory == reference, (processors, latency)
 
     def test_negative_latency_rejected(self):
         _, schedule = schedule_for("DO I = 1, 10\n A(I) = X(I)\nENDDO")
@@ -102,3 +108,14 @@ class TestSignalLatency:
             simulate_doacross(schedule, signal_latency=-1)
         with pytest.raises(ValueError):
             execute_parallel(schedule, MemoryImage(), signal_latency=-1)
+
+    def test_executor_rejects_what_the_walk_rejects(self):
+        _, schedule = schedule_for("DO I = 1, 10\n A(I) = X(I)\nENDDO")
+        for kwargs, message in (
+            ({"processors": 0}, "need at least one processor"),
+            ({"n": -1}, "n must be non-negative"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                simulate_doacross(schedule, **kwargs)
+            with pytest.raises(ValueError, match=message):
+                execute_parallel(schedule, MemoryImage(), **kwargs)
