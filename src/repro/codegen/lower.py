@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.deps.subscripts import Affine, affine_of
 from repro.ir.ast_nodes import (
@@ -55,6 +56,9 @@ from repro.codegen.isa import (
     SyncInfo,
 )
 from repro.sync.insertion import SyncedLoop
+
+if TYPE_CHECKING:  # pragma: no cover - repro.sched imports this module
+    from repro.sched.machine import MachineConfig, UnitSpec
 
 
 class FuseStore(enum.Enum):
@@ -90,6 +94,7 @@ class LoweredLoop:
     send_iids: dict[int, int] = field(default_factory=dict)  # pair_id -> iid
     ref_iids: dict[int, int] = field(default_factory=dict)  # id(ref expr) -> iid
     ref_objs: dict[int, object] = field(default_factory=dict)  # id(ref expr) -> expr
+    _units: dict = field(default_factory=dict, repr=False, compare=False)
 
     def note_ref(self, ref: object, iid: int, keep_existing: bool = False) -> None:
         """Register ``ref``'s access instruction in ``ref_iids`` (and its
@@ -100,8 +105,18 @@ class LoweredLoop:
         self.ref_iids[key] = iid
         self.ref_objs[key] = ref
 
+    def units(self, machine: MachineConfig) -> tuple[UnitSpec, ...]:
+        """Each instruction's unit on ``machine``, indexed by iid (index 0
+        unused), resolved once per machine for every reader."""
+        units = self._units.get(machine)
+        if units is None:
+            units = (None, *(machine.unit_for(i.fu) for i in self.instructions))
+            self._units[machine] = units
+        return units
+
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
+        state.pop("_units", None)
         state.pop("ref_iids")
         refs = state.pop("ref_objs")
         state["_ref_items"] = [(refs[key], iid) for key, iid in self.ref_iids.items()]
@@ -110,6 +125,7 @@ class LoweredLoop:
     def __setstate__(self, state: dict) -> None:
         items = state.pop("_ref_items")
         self.__dict__.update(state)
+        self._units = {}
         self.ref_iids = {id(ref): iid for ref, iid in items}
         self.ref_objs = {id(ref): ref for ref, _iid in items}
 

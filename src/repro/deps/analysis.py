@@ -29,7 +29,7 @@ from typing import Iterator
 
 from repro.deps.subscripts import Affine, affine_of
 from repro.deps.tests import DependenceSolution, solve_siv
-from repro.ir.ast_nodes import ArrayRef, Assign, Const, Expr, Loop, VarRef, walk_expr
+from repro.ir.ast_nodes import ArrayRef, Assign, Expr, Loop, VarRef, walk_expr
 
 
 class DepKind(enum.Enum):
@@ -191,12 +191,6 @@ def _collect_accesses(loop: Loop) -> list[Access]:
     return accesses
 
 
-def _trip_count(loop: Loop) -> int | None:
-    if isinstance(loop.lower, Const) and isinstance(loop.upper, Const):
-        return max(0, int(loop.upper.value) - int(loop.lower.value) + 1)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Pairwise dependence construction
 # ---------------------------------------------------------------------------
@@ -251,7 +245,7 @@ def analyze_loop(loop: Loop) -> DependenceGraph:
     the exact positional rules for a straight-line body (see module doc).
     """
     accesses = _collect_accesses(loop)
-    trip = _trip_count(loop)
+    trip = None if loop.trip_count is None else max(0, loop.trip_count)
     graph = DependenceGraph(loop=loop)
     seen: set[tuple] = set()
 

@@ -5,7 +5,10 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:  # pragma: no cover - facts imports this module
+    from repro.dfg.facts import LoopFacts
 
 
 class EdgeKind(enum.Enum):
@@ -46,8 +49,22 @@ class DataFlowGraph:
     edges: list[Edge] = field(default_factory=list)
     succ: dict[int, list[Edge]] = field(default_factory=dict)
     pred: dict[int, list[Edge]] = field(default_factory=dict)
+    _facts: LoopFacts | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_facts": None}
+
+    def facts(self, lowered) -> LoopFacts:
+        """This graph's :class:`~repro.dfg.facts.LoopFacts` over ``lowered``,
+        computed on first use and kept until a node or an edge is added."""
+        if self._facts is None or self._facts.lowered is not lowered:
+            from repro.dfg.facts import LoopFacts
+
+            self._facts = LoopFacts.of(self, lowered)
+        return self._facts
 
     def add_node(self, node: int) -> None:
+        self._facts = None
         self.nodes.append(node)
         self.succ.setdefault(node, [])
         self.pred.setdefault(node, [])
@@ -55,6 +72,7 @@ class DataFlowGraph:
     def add_edge(self, src: int, dst: int, kind: EdgeKind) -> Edge:
         if src == dst:
             raise ValueError(f"self edge on node {src}")
+        self._facts = None
         edge = Edge(src, dst, kind)
         self.edges.append(edge)
         self.succ[src].append(edge)

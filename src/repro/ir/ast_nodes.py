@@ -237,6 +237,13 @@ class Loop:
         if self.step <= 0:
             raise ValueError("loop step must be a positive integer")
 
+    @property
+    def trip_count(self) -> int | None:
+        """``upper - lower + 1`` when both bounds are constants, else ``None``."""
+        if isinstance(self.lower, Const) and isinstance(self.upper, Const):
+            return int(self.upper.value) - int(self.lower.value) + 1
+        return None
+
     def assignments(self) -> list[Assign]:
         """The assignment statements of the body, in textual order."""
         return [s for s in self.body if isinstance(s, Assign)]

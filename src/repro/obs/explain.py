@@ -230,14 +230,14 @@ def pair_span_bound(schedule: "Schedule", graph: "DataFlowGraph", pair_id: int) 
     the pair has no synchronization path and a scheduler may issue the
     send first (span ``<= 0``, run-time LFD)."""
     lowered = schedule.lowered
-    machine = schedule.machine
     wait = lowered.wait_iids[pair_id]
     send = lowered.send_iids[pair_id]
+    units = lowered.units(schedule.machine)
     dist: dict[int, int] = {wait: 0}
-    for node in graph.topological_order():
+    for node in graph.facts(lowered).topo:
         if node not in dist:
             continue
-        latency = machine.latency(lowered.instruction(node).fu)
+        latency = units[node].latency
         for edge in graph.succ[node]:
             candidate = dist[node] + latency
             if candidate > dist.get(edge.dst, -1):

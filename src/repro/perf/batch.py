@@ -208,12 +208,9 @@ class BatchEvaluator:
         """The cell's trip count — same rules (and error text) as
         :func:`repro.sim.multiproc.simulate_doacross`."""
         if n is None:
-            from repro.ir.ast_nodes import Const
-
-            loop = compiled.lowered.synced.loop
-            if not (isinstance(loop.lower, Const) and isinstance(loop.upper, Const)):
+            n = compiled.lowered.synced.loop.trip_count
+            if n is None:
                 raise ValueError("symbolic loop bounds require an explicit n")
-            n = int(loop.upper.value) - int(loop.lower.value) + 1
         if n < 0:
             raise ValueError("n must be non-negative")
         return n
@@ -325,57 +322,47 @@ class BatchEvaluator:
                         n_cell = self._resolve_n(compiled, n)
                         eval_key = key_prefix + (machine, opts_hash, n_cell)
                         evaluation = self._evals.get(eval_key)
-                        if evaluation is not None:
+                        if evaluation is None:
+                            metric_count("perf.batch.eval.miss")
+                            sched_list, sched_new = cache.schedules(
+                                compiled,
+                                machine,
+                                options.list_priority,
+                                options.sync_options,
+                                verify=options.verify,
+                            )
+                            evaluation = LoopEvaluation(
+                                compiled=compiled,
+                                machine=machine,
+                                n=n_cell,
+                                schedule_list=sched_list,
+                                schedule_new=sched_new,
+                                t_list=0,  # patched after the flat pass
+                                t_new=0,
+                            )
+                            cell = _Cell(evaluation=evaluation)
+                            self._simulate_role(
+                                sched_list, n_cell, options, cell, "sim_list", pending
+                            )
+                            self._simulate_role(
+                                sched_new, n_cell, options, cell, "sim_new", pending
+                            )
+                            self._evals[eval_key] = evaluation
+                        else:
                             self.stats.eval_hits += 1
                             metric_count("perf.batch.eval.hit")
                             if evaluation.sim_list is None or evaluation.sim_new is None:
                                 # Duplicate cell within this grid: the memo
                                 # entry's sims land in pass 2.
-                                cells.append(
-                                    _Cell(evaluation=evaluation, replay_pending=True)
-                                )
+                                cell = _Cell(evaluation=evaluation, replay_pending=True)
                             else:
-                                cells.append(
-                                    _Cell(
-                                        evaluation=evaluation,
-                                        replay_dispatch=[
-                                            evaluation.sim_list.dispatch,
-                                            evaluation.sim_new.dispatch,
-                                        ],
-                                    )
+                                cell = _Cell(
+                                    evaluation=evaluation,
+                                    replay_dispatch=[
+                                        evaluation.sim_list.dispatch,
+                                        evaluation.sim_new.dispatch,
+                                    ],
                                 )
-                            corpus.evaluations.append(evaluation)
-                            emit_progress(
-                                "corpus", index + 1, len(loops),
-                                message=f"{name}@{machine.name}",
-                                quarantined=len(corpus.failures),
-                            )
-                            continue
-                        metric_count("perf.batch.eval.miss")
-                        sched_list, sched_new = cache.schedules(
-                            compiled,
-                            machine,
-                            options.list_priority,
-                            options.sync_options,
-                            verify=options.verify,
-                        )
-                        evaluation = LoopEvaluation(
-                            compiled=compiled,
-                            machine=machine,
-                            n=n_cell,
-                            schedule_list=sched_list,
-                            schedule_new=sched_new,
-                            t_list=0,  # patched after the flat pass
-                            t_new=0,
-                        )
-                        cell = _Cell(evaluation=evaluation)
-                        self._simulate_role(
-                            sched_list, n_cell, options, cell, "sim_list", pending
-                        )
-                        self._simulate_role(
-                            sched_new, n_cell, options, cell, "sim_new", pending
-                        )
-                        self._evals[eval_key] = evaluation
                     except Exception as err:
                         if not quarantine:
                             raise
@@ -383,14 +370,9 @@ class BatchEvaluator:
                         corpus.failures.append(
                             FailureRecord.from_exception("loop", name, index, err)
                         )
-                        emit_progress(
-                            "corpus", index + 1, len(loops),
-                            message=f"{name}@{machine.name}",
-                            quarantined=len(corpus.failures),
-                        )
-                        continue
-                    cells.append(cell)
-                    corpus.evaluations.append(evaluation)
+                    else:
+                        cells.append(cell)
+                        corpus.evaluations.append(evaluation)
                     emit_progress(
                         "corpus", index + 1, len(loops),
                         message=f"{name}@{machine.name}",

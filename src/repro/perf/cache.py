@@ -40,6 +40,7 @@ from repro.codegen import FuseStore
 from repro.ir.ast_nodes import Loop
 from repro.ir.printer import format_loop
 from repro.obs.metrics import count as metric_count
+from repro.obs.trace import span
 from repro.sched import MachineConfig, Priority, Schedule, SyncSchedulerOptions
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: pipeline uses perf.profile
@@ -47,9 +48,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle: pipeline uses perf.profile
 
 __all__ = ["CacheStats", "CompileCache", "compiled_fingerprint", "loop_key"]
 
-#: On-disk cache file magic; the digit is the *container* format version
-#: (the payload additionally records ``repro.schema.SCHEMA_VERSION``).
-_CACHE_MAGIC = b"RPROCCH1"
+#: On-disk cache file magic; the digit is the format version of the
+#: container *and* of the pickled classes (2: frozen ``Schedule``s), so a
+#: file written by an older layout loads as a miss.  The payload
+#: additionally records ``repro.schema.SCHEMA_VERSION``.
+_CACHE_MAGIC = b"RPROCCH2"
 
 
 def loop_key(loop: Loop | str) -> str:
@@ -93,21 +96,6 @@ def compiled_fingerprint(compiled: "CompiledLoop") -> str:
     ).hexdigest()
     compiled._perf_fingerprint = digest
     return digest
-
-
-def _options_key(
-    list_priority: Priority, sync_options: SyncSchedulerOptions | None
-) -> tuple:
-    options = sync_options if sync_options is not None else SyncSchedulerOptions()
-    return (
-        list_priority.value,
-        options.contiguous_sp,
-        options.sp_order,
-        options.sends_before_waits,
-        options.waits_after_sends,
-        options.trip_count,
-        options.guard_never_degrade,
-    )
 
 
 @dataclass
@@ -208,7 +196,8 @@ class CompileCache:
         key = (
             compiled_fingerprint(compiled),
             machine,
-            _options_key(list_priority, sync_options),
+            list_priority.value,
+            sync_options if sync_options is not None else SyncSchedulerOptions(),
         )
         entry = self._schedules.get(key)
         if entry is not None:
@@ -233,8 +222,9 @@ class CompileCache:
         if verify and not entry.verified:
             from repro.sched import assert_valid
 
-            assert_valid(entry.schedule_list, compiled.graph)
-            assert_valid(entry.schedule_new, compiled.graph)
+            with span("verify"):
+                assert_valid(entry.schedule_list, compiled.graph)
+                assert_valid(entry.schedule_new, compiled.graph)
             entry.verified = True
         return entry.schedule_list, entry.schedule_new
 

@@ -37,14 +37,9 @@ from repro.obs.metrics import count as metric_count
 from repro.obs.metrics import observe as metric_observe
 from repro.obs.trace import emit_progress, span
 from repro.options import EvalOptions, observation_scope as _collectors
+from repro.perf.cache import CompileCache
 from repro.robust.harden import FailureRecord
-from repro.sched import (
-    MachineConfig,
-    Schedule,
-    assert_valid,
-    list_schedule,
-    sync_schedule,
-)
+from repro.sched import MachineConfig, Schedule
 from repro.sim import MemoryImage, execute_parallel, run_serial, simulate_doacross
 from repro.sim.metrics import improvement_percent
 from repro.sim.multiproc import SimulationResult
@@ -200,27 +195,17 @@ def _evaluate_loop(
     n: int | None,
     options: EvalOptions,
 ) -> LoopEvaluation:
-    if options.cache is not None:
-        with span("schedule"):
-            sched_list, sched_new = options.cache.schedules(
-                compiled,
-                machine,
-                options.list_priority,
-                options.sync_options,
-                verify=options.verify,
-            )
-    else:
-        with span("schedule"):
-            sched_list = list_schedule(
-                compiled.lowered, compiled.graph, machine, options.list_priority
-            )
-            sched_new = sync_schedule(
-                compiled.lowered, compiled.graph, machine, options.sync_options
-            )
-        if options.verify:
-            with span("verify"):
-                assert_valid(sched_list, compiled.graph)
-                assert_valid(sched_new, compiled.graph)
+    # Uncached evaluation schedules through a throwaway cache: one path
+    # schedules and verifies.
+    cache = options.cache if options.cache is not None else CompileCache()
+    with span("schedule"):
+        sched_list, sched_new = cache.schedules(
+            compiled,
+            machine,
+            options.list_priority,
+            options.sync_options,
+            verify=options.verify,
+        )
     with span("simulate"):
         sim_list = simulate_doacross(
             sched_list, n, exact_simulation=options.exact_simulation,
@@ -396,13 +381,8 @@ def evaluate_corpus(
                 result.failures.append(
                     FailureRecord.from_exception("loop", name, index, err)
                 )
-                emit_progress(
-                    "corpus", index + 1, len(loops),
-                    message=f"{name}@{machine.name}",
-                    quarantined=len(result.failures),
-                )
-                continue
-            result.evaluations.append(evaluation)
+            else:
+                result.evaluations.append(evaluation)
             emit_progress(
                 "corpus", index + 1, len(loops),
                 message=f"{name}@{machine.name}",

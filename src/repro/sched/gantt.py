@@ -42,7 +42,7 @@ def gantt(schedule: Schedule, width: int | None = None) -> str:
     truncates long schedules for display.
     """
     machine = schedule.machine
-    lowered = schedule.lowered
+    unit_of = schedule.lowered.units(machine)
     length = schedule.length if width is None else min(schedule.length, width)
 
     # rows per unit instance
@@ -55,7 +55,7 @@ def gantt(schedule: Schedule, width: int | None = None) -> str:
         unit.name: [1] * unit.count for unit in machine.units
     }
     for iid, cycle in sorted(schedule.cycle_of.items(), key=lambda kv: (kv[1], kv[0])):
-        unit = machine.unit_for(lowered.instruction(iid).fu)
+        unit = unit_of[iid]
         busy = 1 if unit.pipelined else unit.latency
         frees = instance_free[unit.name]
         instance = 0

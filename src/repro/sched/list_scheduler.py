@@ -42,11 +42,11 @@ def critical_path_heights(
     graph: DataFlowGraph, lowered: LoweredLoop, machine: MachineConfig
 ) -> dict[int, int]:
     """Latency-weighted height of each node (its own latency included)."""
+    units = lowered.units(machine)
     heights: dict[int, int] = {}
-    for node in reversed(graph.topological_order()):
-        latency = machine.latency(lowered.instruction(node).fu)
+    for node in reversed(graph.facts(lowered).topo):
         below = max((heights[e.dst] for e in graph.succ[node]), default=0)
-        heights[node] = latency + below
+        heights[node] = units[node].latency + below
     return heights
 
 
@@ -57,53 +57,46 @@ def list_schedule(
     priority: Priority = Priority.PROGRAM_ORDER,
 ) -> Schedule:
     """Schedule every instruction with greedy list scheduling."""
+    sort_key = None  # program order: by iid
     if priority is Priority.CRITICAL_PATH:
         heights = critical_path_heights(graph, lowered, machine)
 
         def sort_key(iid: int) -> tuple:
             return (-heights[iid], iid)
 
-    else:
-
-        def sort_key(iid: int) -> tuple:
-            return (iid,)
-
-    schedule = Schedule(machine=machine, lowered=lowered, scheduler_name=f"list/{priority.value}")
+    name = f"list/{priority.value}"
     resources = ResourceTable(machine)
-    unit_of = {i.iid: machine.unit_for(i.fu) for i in lowered.instructions}
-    unscheduled = set(graph.nodes)
+    units = lowered.units(machine)
+    cycle_of: dict[int, int] = {}
     # earliest cycle each node may issue, updated as predecessors schedule
     ready_cycle = {n: 1 for n in graph.nodes}
     pending_preds = {n: graph.in_degree(n) for n in graph.nodes}
+    # unscheduled nodes whose predecessors are all scheduled
+    released = {n for n, count in pending_preds.items() if count == 0}
     journal = active_journal()
     # predecessor that last raised a node's ready cycle (provenance)
     critical_pred: dict[int, int] = {}
 
     with span("schedule.list"):
         cycle = 1
-        while unscheduled:
+        while len(cycle_of) < len(pending_preds):
             candidates = sorted(
-                (
-                    n
-                    for n in unscheduled
-                    if pending_preds[n] == 0 and ready_cycle[n] <= cycle
-                ),
-                key=sort_key,
+                (n for n in released if ready_cycle[n] <= cycle), key=sort_key
             )
             metric_observe("sched_pass.list.ready_len", len(candidates))
             placed_any = False
             for iid in candidates:
-                unit = unit_of[iid]
+                unit = units[iid]
                 if resources.can_place(unit, cycle):
                     resources.place(unit, cycle)
-                    schedule.cycle_of[iid] = cycle
-                    unscheduled.discard(iid)
+                    cycle_of[iid] = cycle
+                    released.discard(iid)
                     placed_any = True
                     if journal is not None:
                         instr = lowered.instruction(iid)
                         journal.record_decision(
                             Decision(
-                                scheduler=schedule.scheduler_name,
+                                scheduler=name,
                                 iid=iid,
                                 cycle=cycle,
                                 phase="list",
@@ -122,11 +115,14 @@ def list_schedule(
                         )
                     latency = unit.latency
                     for edge in graph.succ[iid]:
-                        pending_preds[edge.dst] -= 1
-                        if cycle + latency > ready_cycle[edge.dst]:
-                            ready_cycle[edge.dst] = cycle + latency
-                            critical_pred[edge.dst] = iid
+                        dst = edge.dst
+                        pending_preds[dst] -= 1
+                        if pending_preds[dst] == 0:
+                            released.add(dst)
+                        if cycle + latency > ready_cycle[dst]:
+                            ready_cycle[dst] = cycle + latency
+                            critical_pred[dst] = iid
             cycle += 1
             if not placed_any and not candidates and cycle > 2 * len(graph.nodes) * 8 + 64:
                 raise RuntimeError("list scheduler failed to make progress")  # pragma: no cover
-    return schedule
+    return Schedule(machine=machine, lowered=lowered, cycle_of=cycle_of, scheduler_name=name)

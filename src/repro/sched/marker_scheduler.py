@@ -42,22 +42,18 @@ def marker_schedule(
     them up immediately after.
     """
     # For each wait: its sinks, and each sink's other predecessors.
+    facts = graph.facts(lowered)
     wait_sinks: dict[int, list[int]] = {}
     for pair in lowered.synced.pairs:
         wait_iid = lowered.wait_iids[pair.pair_id]
-        wait_sinks.setdefault(wait_iid, []).extend(lowered.sink_iids(pair.pair_id))
+        wait_sinks.setdefault(wait_iid, []).extend(facts.sinks[pair.pair_id])
 
-    schedule = Schedule(machine=machine, lowered=lowered, scheduler_name="marker")
     resources = ResourceTable(machine)
-    unit_of = {i.iid: machine.unit_for(i.fu) for i in lowered.instructions}
+    unit_of = lowered.units(machine)
     unscheduled = set(graph.nodes)
     ready_cycle = {n: 1 for n in graph.nodes}
     pending_preds = {n: graph.in_degree(n) for n in graph.nodes}
-    cycle_of = schedule.cycle_of
-
-    wait_descendants: dict[int, set[int]] = {
-        iid: graph.descendants(iid) for iid in wait_sinks
-    }
+    cycle_of: dict[int, int] = {}
 
     def wait_ready(iid: int, cycle: int) -> bool:
         """May the wait issue at ``cycle`` under the marker rule?"""
@@ -69,7 +65,7 @@ def marker_schedule(
                     # sibling waits on the same sink must not deadlock each
                     # other; the single sync port serializes them anyway
                     continue
-                if edge.src in wait_descendants[iid]:
+                if facts.ancestor_mask(edge.src) & facts.bit(iid):
                     # the predecessor itself needs this wait first (a sink
                     # store whose value chain starts at the wait) — holding
                     # the wait for it would deadlock
@@ -106,4 +102,4 @@ def marker_schedule(
         guard += 1
         if guard > len(graph.nodes) * 64 + 1024:  # pragma: no cover
             raise RuntimeError("marker scheduler failed to make progress")
-    return schedule
+    return Schedule(machine=machine, lowered=lowered, cycle_of=cycle_of, scheduler_name="marker")

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.codegen.lower import LoweredLoop
 from repro.sched.machine import MachineConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class Schedule:
     """A cycle assignment for every instruction of a lowered loop.
 
@@ -16,27 +18,34 @@ class Schedule:
     is the iteration time ``l`` in cycles: the last *completion* cycle
     (issue cycle + unit latency - 1), which equals the bundle count when
     all latencies are one, as in the paper's Fig. 4 (13 cycles).
+
+    A schedule is an immutable value: ``cycle_of`` is a read-only
+    mapping, and ``length`` and ``issue_cycles`` are computed once, when
+    it is built.  Derive a changed schedule with ``dataclasses.replace``.
     """
 
     machine: MachineConfig
     lowered: LoweredLoop
-    cycle_of: dict[int, int] = field(default_factory=dict)
+    cycle_of: Mapping[int, int] = field(default_factory=dict)
     scheduler_name: str = ""
+    length: int = field(init=False, compare=False)
+    issue_cycles: int = field(init=False, compare=False)
+    """Number of the last issue cycle (bundle count upper bound)."""
 
-    @property
-    def length(self) -> int:
-        return max(
-            (
-                cycle + self.machine.latency(self.lowered.instruction(iid).fu) - 1
-                for iid, cycle in self.cycle_of.items()
-            ),
+    def __post_init__(self) -> None:
+        cycle_of = MappingProxyType(dict(self.cycle_of))
+        units = self.lowered.units(self.machine)
+        known = len(units)  # an iid outside the loop is the verifier's to report
+        length = max(
+            (c + (units[i].latency if 0 < i < known else 1) - 1 for i, c in cycle_of.items()),
             default=0,
         )
+        object.__setattr__(self, "cycle_of", cycle_of)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "issue_cycles", max(cycle_of.values(), default=0))
 
-    @property
-    def issue_cycles(self) -> int:
-        """Number of the last issue cycle (bundle count upper bound)."""
-        return max(self.cycle_of.values(), default=0)
+    def __reduce__(self):  # a mappingproxy does not pickle: rebuild from a dict
+        return Schedule, (self.machine, self.lowered, dict(self.cycle_of), self.scheduler_name)
 
     def bundles(self) -> list[list[int]]:
         """Instruction ids per cycle, 1..issue_cycles, ids ascending."""

@@ -58,11 +58,11 @@ def schedule_stats(schedule: Schedule) -> ScheduleStats:
     """Compute utilization figures for ``schedule``."""
     machine = schedule.machine
     length = schedule.length
+    unit_of = schedule.lowered.units(machine)
     busy: dict[str, int] = defaultdict(int)
-    for iid, cycle in schedule.cycle_of.items():
-        unit = machine.unit_for(schedule.lowered.instruction(iid).fu)
+    for iid in schedule.cycle_of:
+        unit = unit_of[iid]
         busy[unit.name] += 1 if unit.pipelined else unit.latency
-        del cycle
     units = tuple(
         UnitUtilization(
             name=unit.name,

@@ -31,14 +31,13 @@ options exist to ablate the individual performance ideas.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from repro.codegen.isa import Opcode
 from repro.codegen.lower import LoweredLoop
 from repro.dfg.graph import DataFlowGraph
-from repro.dfg.partition import Component, ComponentKind, partition
-from repro.dfg.syncpath import SyncPath, find_sync_paths, group_overlapping, order_paths
-from repro.ir.ast_nodes import Const
+from repro.dfg.partition import ComponentKind
+from repro.dfg.syncpath import SyncPath, group_overlapping, order_paths
 from repro.obs.explain import Decision, active_journal
 from repro.obs.metrics import count as metric_count
 from repro.obs.trace import span
@@ -67,6 +66,15 @@ class SyncSchedulerOptions:
     pass."""
 
 
+def _trip_count(lowered: LoweredLoop, options: SyncSchedulerOptions) -> int:
+    """``n`` for SP weights and the guard: the option, else the loop's
+    constant trip count, else 100."""
+    if options.trip_count is not None:
+        return options.trip_count
+    trip = lowered.synced.loop.trip_count
+    return 100 if trip is None else trip
+
+
 class _SyncScheduler:
     def __init__(
         self,
@@ -81,16 +89,9 @@ class _SyncScheduler:
         self.options = options
         self.resources = ResourceTable(machine)
         self.cycle_of: dict[int, int] = {}
-        self.unit_of = {i.iid: machine.unit_for(i.fu) for i in lowered.instructions}
-        self.topo = graph.topological_order()
-        self.topo_pos = {iid: i for i, iid in enumerate(self.topo)}
-        # Every node's DFG ancestors, closed once in topological order.
-        self.ancestors: dict[int, set[int]] = {}
-        for node in self.topo:
-            closure = self.ancestors[node] = set()
-            for edge in graph.pred[node]:
-                closure.add(edge.src)
-                closure |= self.ancestors[edge.src]
+        self.unit_of = lowered.units(machine)
+        self.facts = graph.facts(lowered)
+        self._placed = 0  # mask of the nodes in cycle_of
         self._inflight_sends: set[int] = set()
         self._sp_pair_ids: set[int] = set()  # filled by run()
         # Decision provenance (repro.obs.explain).  Buffered per-iid so the
@@ -143,62 +144,60 @@ class _SyncScheduler:
             note=note if note is not None else self._rule_note,
         )
 
-    def ready_cycle_reason(self, iid: int) -> tuple[int, int | None]:
-        """:meth:`ready_cycle` plus the predecessor that set it."""
-        cycle, pred = 1, None
-        for edge in self.graph.pred[iid]:
-            candidate = self.cycle_of[edge.src] + self.latency(edge.src)
-            if candidate > cycle:
-                cycle, pred = candidate, edge.src
-        return cycle, pred
-
     # -- primitives -----------------------------------------------------------
 
     def latency(self, iid: int) -> int:
         return self.unit_of[iid].latency
 
-    def ready_cycle(self, iid: int) -> int:
-        """Earliest legal issue cycle given scheduled predecessors.
+    def ready_cycle(self, iid: int) -> tuple[int, int | None]:
+        """Earliest legal issue cycle given scheduled predecessors, and the
+        predecessor that set it (``None`` for cycle 1).
 
         All predecessors must already be scheduled (phases guarantee it).
         """
-        cycle = 1
+        cycle, pred = 1, None
         for edge in self.graph.pred[iid]:
-            pred_cycle = self.cycle_of[edge.src]
-            cycle = max(cycle, pred_cycle + self.latency(edge.src))
-        return cycle
+            candidate = self.cycle_of[edge.src] + self.unit_of[edge.src].latency
+            if candidate > cycle:
+                cycle, pred = candidate, edge.src
+        return cycle, pred
 
     def place(self, iid: int, cycle: int) -> None:
         self.resources.place(self.unit_of[iid], cycle)
         self.cycle_of[iid] = cycle
+        self._placed |= self.facts.bit(iid)
 
     def unplace(self, iid: int) -> None:
         cycle = self.cycle_of.pop(iid)
         self.resources.remove(self.unit_of[iid], cycle)
+        self._placed &= ~self.facts.bit(iid)
         self._decisions.pop(iid, None)
 
     def place_asap(self, iid: int, min_cycle: int = 1) -> int:
-        if self._journal is None:
-            ready, pred = self.ready_cycle(iid), None
-        else:
-            ready, pred = self.ready_cycle_reason(iid)
+        ready, pred = self.ready_cycle(iid)
         cycle = self.resources.earliest(self.unit_of[iid], max(min_cycle, ready))
         self.place(iid, cycle)
         self._record(iid, cycle, ready=ready, min_cycle=min_cycle, critical_pred=pred)
         return cycle
 
     def unscheduled_ancestors(self, nodes: list[int]) -> list[int]:
-        closure: set[int] = set()
+        """The unplaced ancestors of ``nodes`` (not ``nodes`` themselves),
+        in topological order."""
+        facts = self.facts
+        closure = own = 0
         for node in nodes:
-            closure |= self.ancestors[node]
-        closure -= set(nodes)
-        closure -= self.cycle_of.keys()
-        return sorted(closure, key=self.topo_pos.__getitem__)
+            closure |= facts.ancestor_mask(node)
+            own |= facts.bit(node)
+        return facts.members(closure & ~own & ~self._placed)
 
-    def place_with_ancestors(self, iid: int, min_cycle: int = 1) -> int:
-        for anc in self.unscheduled_ancestors([iid]):
-            self.place_asap(anc)
-        return self.place_asap(iid, min_cycle)
+    def place_with_ancestors(self, nodes) -> None:
+        """Tight sequential ASAP placement of the unplaced ``nodes``, each
+        after its unplaced ancestors."""
+        for iid in nodes:
+            if iid not in self.cycle_of:
+                for anc in self.unscheduled_ancestors([iid]):
+                    self.place_asap(anc)
+                self.place_asap(iid)
 
     # -- node placement rules (sends and waits) --------------------------------
 
@@ -249,7 +248,7 @@ class _SyncScheduler:
                     if (
                         send_iid in self.cycle_of
                         or send_iid in self._inflight_sends
-                        or iid in self.ancestors[send_iid]
+                        or self.facts.ancestor_mask(send_iid) & self.facts.bit(iid)
                     ):
                         continue
                     self._inflight_sends.add(send_iid)
@@ -276,10 +275,7 @@ class _SyncScheduler:
             assert instr.sync is not None
             pair_id = instr.sync.pair_ids[0] if instr.sync.pair_ids else None
             deadline = self.send_deadline(iid)
-            if self._journal is None:
-                ready, pred = self.ready_cycle(iid), None
-            else:
-                ready, pred = self.ready_cycle_reason(iid)
+            ready, pred = self.ready_cycle(iid)
             if deadline is not None and deadline >= ready:
                 cycle = self.resources.latest_at_most(self.unit_of[iid], deadline, ready)
                 if cycle is not None:
@@ -299,9 +295,9 @@ class _SyncScheduler:
             return
         self.place_asap(iid)
 
-    def schedule_set(self, nodes: set[int], sends_first: bool = False) -> None:
-        """Schedule ``nodes`` (and any unscheduled ancestors) in topological
-        order with the send/wait placement rules.
+    def schedule_set(self, nodes: int, sends_first: bool = False) -> None:
+        """Schedule the ``nodes`` mask (and any unscheduled ancestors) in
+        topological order with the send/wait placement rules.
 
         ``sends_first`` implements the paper's convertible-to-LFD case for
         Sigwat graphs: a pair whose wait has *no* directed path to its send
@@ -311,7 +307,7 @@ class _SyncScheduler:
         here (that would be a synchronization path), so the two passes are
         well-defined.
         """
-        pending = [n for n in self.topo if n in nodes and n not in self.cycle_of]
+        pending = self.facts.members(nodes & ~self._placed)
         if sends_first:
             for iid in pending:
                 if iid in self.cycle_of:
@@ -339,32 +335,38 @@ class _SyncScheduler:
         the whole statement, the very store the send follows.  Packing
         tighter than the chain is impossible for *any* start cycle.
         """
-        between = {n for n in self.ancestors[b] if a in self.ancestors[n]} | {a, b}
+        facts = self.facts
+        a_bit = facts.bit(a)
+        between = a_bit | facts.bit(b)
+        for node in facts.members(facts.ancestor_mask(b)):
+            if facts.ancestor_mask(node) & a_bit:
+                between |= facts.bit(node)
         dist = {a: 0}
-        for node in sorted(between, key=self.topo_pos.__getitem__):
+        for node in facts.members(between):
             if node not in dist:
                 continue
             for edge in self.graph.succ[node]:
-                if edge.dst in between:
+                if between & facts.bit(edge.dst):
                     candidate = dist[node] + self.latency(node)
                     if candidate > dist.get(edge.dst, -1):
                         dist[edge.dst] = candidate
         return dist.get(b, self.latency(a))
 
-    def sp_targets(self, nodes: tuple[int, ...], start: int) -> list[int]:
-        targets = []
-        cycle = start
-        for i, node in enumerate(nodes):
-            targets.append(cycle)
-            if i + 1 < len(nodes):
-                cycle += self.min_spacing(node, nodes[i + 1])
-        return targets
+    def sp_offsets(self, nodes: list[int]) -> list[int]:
+        """Each path node's cycle offset from the path's start when packed
+        at :meth:`min_spacing` — the same for every start tried."""
+        offsets = [0]
+        for a, b in zip(nodes, nodes[1:]):
+            offsets.append(offsets[-1] + self.min_spacing(a, b))
+        return offsets
 
-    def try_place_path(self, nodes: list[int], start: int, pair_id: int | None = None) -> bool:
-        """Transactionally place ``nodes`` contiguously from ``start``, then
-        their ancestors backward (ALAP before their consumers, the way the
-        paper's Fig. 4(b) tucks ``t5 <- I + 1`` into cycle 1); roll back on
-        any failure.
+    def try_place_path(
+        self, nodes: list[int], start: int, offsets: list[int], pair_id: int | None = None
+    ) -> bool:
+        """Transactionally place ``nodes`` contiguously, at ``start`` plus
+        their ``offsets``, then their ancestors backward (ALAP before their
+        consumers, the way the paper's Fig. 4(b) tucks ``t5 <- I + 1`` into
+        cycle 1); roll back on any failure.
 
         ALAP rather than ASAP matters: an ancestor placed greedily early
         can occupy the slot a tighter-deadline ancestor chain needs (the
@@ -379,8 +381,8 @@ class _SyncScheduler:
                 self.unplace(iid)
             return False
 
-        targets = self.sp_targets(tuple(nodes), start)
-        for iid, target in zip(nodes, targets):
+        for iid, offset in zip(nodes, offsets):
+            target = start + offset
             if not self.resources.can_place(self.unit_of[iid], target):
                 return rollback()
             self.place(iid, target)
@@ -422,13 +424,13 @@ class _SyncScheduler:
 
         # Full latency re-check now that everything relevant is scheduled.
         for iid in placed:
-            if self.ready_cycle(iid) > self.cycle_of[iid]:
+            if self.ready_cycle(iid)[0] > self.cycle_of[iid]:
                 return rollback()
         if self._journal is not None:
             # Everything relevant is placed, so ready cycles are final.
             path_set = set(nodes)
             for iid in placed:
-                ready, pred = self.ready_cycle_reason(iid)
+                ready, pred = self.ready_cycle(iid)
                 if iid in path_set:
                     self._record(
                         iid,
@@ -456,16 +458,16 @@ class _SyncScheduler:
         if len(nodes) != len(path.nodes):
             # Partially scheduled by an earlier group (shared ancestor):
             # fall back to tight ASAP packing of the remainder.
-            for node in nodes:
-                self.place_with_ancestors(node)
+            self.place_with_ancestors(nodes)
             return
         horizon = (
             max(self.cycle_of.values(), default=0)
             + (len(self.graph) + 2) * max(u.latency for u in self.machine.units)
             + 8
         )
+        offsets = self.sp_offsets(nodes)
         for start in range(1, horizon + 1):
-            if self.try_place_path(nodes, start, pair_id=path.pair_id):
+            if self.try_place_path(nodes, start, offsets, pair_id=path.pair_id):
                 metric_count("sched_pass.sync.sp_start_retries", start - 1)
                 return
         # Dependence-minimal spacing can still be resource-infeasible (the
@@ -473,35 +475,23 @@ class _SyncScheduler:
         # fall back to tight sequential ASAP placement, which always works.
         metric_count("sched_pass.sync.sp_fallback_asap")
         with self._ruled("sp_fallback_asap", pair_id=path.pair_id):
-            for node in nodes:
-                if node not in self.cycle_of:
-                    self.place_with_ancestors(node)
+            self.place_with_ancestors(nodes)
 
     def schedule_sp_group(self, group: list[SyncPath]) -> None:
         primary, *rest = group
         if self.options.contiguous_sp:
             self.schedule_path_contiguous(primary)
         else:
-            for node in primary.nodes:
-                if node not in self.cycle_of:
-                    self.place_with_ancestors(node)
+            self.place_with_ancestors(primary.nodes)
         for path in rest:
-            for node in path.nodes:
-                if node not in self.cycle_of:
-                    self.place_with_ancestors(node)
+            self.place_with_ancestors(path.nodes)
 
     # -- driver -----------------------------------------------------------------
 
     def run(self) -> Schedule:
-        components = partition(self.graph, self.lowered)
-        trip = self.options.trip_count
-        if trip is None:
-            loop = self.lowered.synced.loop
-            if isinstance(loop.lower, Const) and isinstance(loop.upper, Const):
-                trip = int(loop.upper.value) - int(loop.lower.value) + 1
-            else:
-                trip = 100
-        paths = find_sync_paths(self.graph, self.lowered, components)
+        facts = self.facts
+        trip = _trip_count(self.lowered, self.options)
+        paths = list(facts.sync_paths)
         self._sp_pair_ids = {p.pair_id for p in paths}
         metric_count("sched_pass.sync.sync_paths", len(paths))
         if self.options.sp_order == "desc":
@@ -518,21 +508,20 @@ class _SyncScheduler:
         # statement is still unscheduled — an avoidable LBD costing
         # ``(n/d)·span``.  Scheduling those sends' cones first costs a few
         # cycles of iteration length and removes the whole stall chain.
-        sp_nodes = {node for path in paths for node in path.nodes}
-        sp_ancestors: set[int] = set()
-        for node in sp_nodes:
-            sp_ancestors |= self.ancestors[node]
-        sp_pair_ids = {path.pair_id for path in paths}
+        sp_nodes = sp_ancestors = 0
+        for path in paths:
+            for node in path.nodes:
+                sp_nodes |= facts.bit(node)
+                sp_ancestors |= facts.ancestor_mask(node)
         if self.options.waits_after_sends:
             self._phase = "lfd_conversion"
             for pair in self.lowered.synced.pairs:
-                if pair.pair_id in sp_pair_ids:
+                if pair.pair_id in self._sp_pair_ids:
                     continue
                 wait_iid = self.lowered.wait_iids[pair.pair_id]
                 send_iid = self.lowered.send_iids[pair.pair_id]
-                if wait_iid in sp_ancestors and send_iid not in sp_nodes:
-                    cone = set(self.unscheduled_ancestors([send_iid]))
-                    if cone & sp_nodes:
+                if sp_ancestors & facts.bit(wait_iid) and not sp_nodes & facts.bit(send_iid):
+                    if facts.ancestor_mask(send_iid) & ~self._placed & sp_nodes:
                         continue  # cannot hoist the send without the SP
                     with self._ruled("lfd_send_hoist", pair_id=pair.pair_id):
                         for anc in self.unscheduled_ancestors([send_iid]):
@@ -545,9 +534,9 @@ class _SyncScheduler:
         if self.options.sends_before_waits:
             self._phase = "sig_first"
             with span("schedule.sync.sig_first"):
-                for component in components:
-                    if component.kind is ComponentKind.SIG:
-                        self.schedule_set(set(component.nodes))
+                for kind, mask in facts.components:
+                    if kind is ComponentKind.SIG:
+                        self.schedule_set(mask)
 
         # Phase 1: synchronization paths.
         self._phase = "sync_paths"
@@ -566,12 +555,9 @@ class _SyncScheduler:
                 ComponentKind.PLAIN,
             ):
                 self._phase = f"components.{kind.name.lower()}"
-                for component in components:
-                    if component.kind is kind:
-                        self.schedule_set(
-                            set(component.nodes),
-                            sends_first=(kind is ComponentKind.SIGWAT),
-                        )
+                for component_kind, mask in facts.components:
+                    if component_kind is kind:
+                        self.schedule_set(mask, sends_first=(kind is ComponentKind.SIGWAT))
 
         if self._journal is not None:
             for iid in sorted(
@@ -599,22 +585,14 @@ def sync_schedule(
         schedule = _SyncScheduler(lowered, graph, machine, options).run()
     if options.guard_never_degrade:
         # Deferred imports: repro.sim imports repro.sched at module load.
-        from repro.ir.ast_nodes import Const
         from repro.sched.list_scheduler import list_schedule
         from repro.sim.multiproc import simulate_doacross
 
-        n = options.trip_count
-        if n is None:
-            loop = lowered.synced.loop
-            if isinstance(loop.lower, Const) and isinstance(loop.upper, Const):
-                n = int(loop.upper.value) - int(loop.lower.value) + 1
-            else:
-                n = 100
+        n = _trip_count(lowered, options)
         listed = list_schedule(lowered, graph, machine)
         if (
             simulate_doacross(listed, n).parallel_time
             < simulate_doacross(schedule, n).parallel_time
         ):
-            listed.scheduler_name = "sync-aware/guarded->list"
-            return listed
+            return replace(listed, scheduler_name="sync-aware/guarded->list")
     return schedule

@@ -87,7 +87,8 @@ def verify_schedule_structured(
             )
     if violations:
         return violations
-    unit_of = {i.iid: machine.unit_for(i.fu) for i in lowered.instructions}
+    unit_of = lowered.units(machine)
+    facts = graph.facts(lowered)
 
     # 2. dependence latencies
     for edge in graph.edges:
@@ -139,7 +140,7 @@ def verify_schedule_structured(
     for pair in lowered.synced.pairs:
         sig = lowered.send_iids[pair.pair_id]
         wat = lowered.wait_iids[pair.pair_id]
-        for src in lowered.source_iids(pair.pair_id):
+        for src in facts.sources[pair.pair_id]:
             src_done = cycle_of[src] + unit_of[src].latency - 1
             if cycle_of[sig] <= src_done:
                 violations.append(
@@ -152,7 +153,7 @@ def verify_schedule_structured(
                         pair_id=pair.pair_id,
                     )
                 )
-        for snk in lowered.sink_iids(pair.pair_id):
+        for snk in facts.sinks[pair.pair_id]:
             if cycle_of[wat] >= cycle_of[snk]:
                 violations.append(
                     Violation(

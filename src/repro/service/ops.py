@@ -368,10 +368,12 @@ def sweep_results(
                 if batch
                 else "serial (no pool requested)"
             )
+        # A batch sweep without a cache file uses its engine's own cache,
+        # which outlives the sweep.
         cache = None
         if cache_file:
             cache = CompileCache.load(cache_file)
-        elif not no_cache:
+        elif not no_cache and not batch:
             cache = CompileCache()
         if cache is not None:
             options = options.replace(cache=cache)

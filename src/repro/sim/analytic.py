@@ -43,7 +43,7 @@ evaluation plane behind :class:`repro.perf.batch.BatchEvaluator`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.sched.schedule import Schedule
 
@@ -242,18 +242,3 @@ def batch_closed_form(
         )
     return out
 
-
-def batch_parallel_times(
-    rows: Sequence[tuple[int, int, int, int]], signal_latency: int = 1
-) -> list[int]:
-    """Flat-array form of :func:`lbd_parallel_time` over ``(n, d, span,
-    l)`` rows — one pass, one int per row."""
-    out: list[int] = []
-    append = out.append
-    for n, d, span, l in rows:
-        per_hop = span - 1 + signal_latency
-        if per_hop <= 0 or n <= 0:
-            append(l)
-        else:
-            append(((n - 1) // d) * per_hop + l)
-    return out

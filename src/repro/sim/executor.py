@@ -159,7 +159,7 @@ def _decode(schedule: Schedule) -> list[tuple[int, tuple, tuple]]:
     1), its waits as ``(pair_id, source_label, distance)``, and its other
     instructions in iid order as :func:`_decode_op` tuples."""
     lowered = schedule.lowered
-    latency = schedule.machine.latency
+    units = lowered.units(schedule.machine)
     table = []
     for iids in schedule.bundles():
         bundle = [lowered.instruction(iid) for iid in iids]
@@ -170,7 +170,7 @@ def _decode(schedule: Schedule) -> list[tuple[int, tuple, tuple]]:
                 waits.append((instr.sync.pair_ids[0], instr.sync.source_label, instr.sync.distance))
         table.append(
             (
-                max((latency(instr.fu) for instr in bundle), default=1) - 1,
+                max((units[iid].latency for iid in iids), default=1) - 1,
                 tuple(waits),
                 tuple(_decode_op(instr) for instr in bundle if instr.opcode is not Opcode.WAIT),
             )
@@ -283,9 +283,9 @@ def execute_parallel(
         raise ValueError("parallel execution requires a constant lower bound")
     lower = int(loop.lower.value)
     if n is None:
-        if not isinstance(loop.upper, Const):
+        n = loop.trip_count
+        if n is None:
             raise ValueError("symbolic loop bounds require an explicit n")
-        n = int(loop.upper.value) - lower + 1
     if n < 0:
         raise ValueError("n must be non-negative")
     if processors is None or processors >= n:

@@ -37,7 +37,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from repro.codegen.isa import Opcode
 from repro.obs.explain import StallLink, active_journal
 from repro.obs.metrics import count as metric_count
 from repro.obs.trace import span
@@ -111,6 +110,29 @@ class SimulationResult:
         return self.serial_time / self.parallel_time if self.parallel_time else 0.0
 
 
+def _dropped(
+    lowered, faults: FaultPlan, rank_of_iter: dict[int, int], k: int, wait: tuple
+) -> DeadlockError:
+    """The deadlock of iteration ``k`` at ``wait``, whose delivery the plan
+    drops."""
+    wait_cycle, distance, _send_cycle, pair_id = wait
+    return DeadlockError(
+        (
+            BlockedWait(
+                processor=rank_of_iter.get(k, k - 1),
+                iteration=k,
+                pair_id=pair_id,
+                source_label=lowered.synced.pair(pair_id).source_label,
+                producer_iteration=k - distance,
+                wait_cycle=wait_cycle,
+                orphaned=True,
+                reason="Send_Signal delivery dropped by fault plan",
+            ),
+        ),
+        plan_label=faults.label,
+    )
+
+
 def iteration_mapping(n: int, processors: int, mapping: str) -> list[list[int]]:
     """Iterations (1-based) per processor rank under cyclic or block mapping.
 
@@ -141,28 +163,17 @@ def fast_path_result(
     """Materialize a closed-form plan as a full :class:`SimulationResult`
     (finish times, stall attribution, journal chain) — byte-identical to
     what the event walk would produce for an eligible schedule."""
-    length = schedule.length
     stall_by_pair = {pair.pair_id: 0 for pair in schedule.lowered.synced.pairs}
     culprit = plan.stalling
-    if culprit is None:
-        return SimulationResult(
-            schedule=schedule,
-            n=n,
-            parallel_time=length if n else 0,
-            finish_times=[length] * n,
-            total_stall=0,
-            processors=n,
-            signal_latency=signal_latency,
-            dispatch="fast_path",
-            stall_by_pair=stall_by_pair,
-        )
-    per_hop = culprit.per_hop(signal_latency)
-    distance = culprit.distance
-    finish_times = chain_finish_times(n, distance, per_hop, length)
+    # No stalling pair is a chain with no per-hop cost: every iteration takes l.
+    per_hop = culprit.per_hop(signal_latency) if culprit is not None else 0
+    distance = culprit.distance if culprit is not None else 1
+    finish_times = chain_finish_times(n, distance, per_hop, schedule.length)
     total_stall = chain_total_stall(n, distance, per_hop)
-    stall_by_pair[culprit.pair_id] = total_stall
+    if culprit is not None:
+        stall_by_pair[culprit.pair_id] = total_stall
     journal = active_journal()
-    if journal is not None:
+    if journal is not None and culprit is not None:
         # Materialize the same stall chain the event walk would emit: the
         # producer's send is delayed by its own cumulative stall, so its
         # absolute issue is a closed form too (kept out of the default path
@@ -244,12 +255,9 @@ def simulate_doacross(
     """
     lowered = schedule.lowered
     if n is None:
-        from repro.ir.ast_nodes import Const
-
-        loop = lowered.synced.loop
-        if not (isinstance(loop.lower, Const) and isinstance(loop.upper, Const)):
+        n = lowered.synced.loop.trip_count
+        if n is None:
             raise ValueError("symbolic loop bounds require an explicit n")
-        n = int(loop.upper.value) - int(loop.lower.value) + 1
     if n < 0:
         raise ValueError("n must be non-negative")
     if processors is None or processors >= n:
@@ -275,17 +283,19 @@ def simulate_doacross(
     metric_count("sim.dispatch.event_walk")
     journal = active_journal()
     with span("sim.event_walk"):
-        # Waits of the schedule in issue-cycle order, with (distance, send
-        # cycle, pair id); ties keep pair-id order, matching the old list
-        # order, so the walk is unchanged.
-        waits: list[tuple[int, int, int, int]] = []
+        # Waits of the schedule in issue-cycle order as (cycle, 1, (cycle,
+        # distance, send cycle, pair id)) events; ties keep pair-id order.
+        # An injected stall is a (cycle, 0, (extra,)) event: it sorts first
+        # at its cycle, since the processor is already late when it checks.
+        waits: list[tuple[int, int, tuple]] = []
         for pair in lowered.synced.pairs:
             wait_cycle = schedule.wait_cycle(pair.pair_id)
-            send_cycle = schedule.send_cycle(pair.pair_id)
-            waits.append((wait_cycle, pair.distance, send_cycle, pair.pair_id))
+            wait = (wait_cycle, pair.distance, schedule.send_cycle(pair.pair_id), pair.pair_id)
+            waits.append((wait_cycle, 1, wait))
         waits.sort()
 
         length = schedule.length
+        issue_cycles = schedule.issue_cycles
         timings: list[_IterationTiming] = []
         finish_times: list[int] = []
         total_stall = 0
@@ -307,98 +317,50 @@ def simulate_doacross(
             start = finish_times[prev - 1] if prev is not None else 0
             timing = _IterationTiming(start=start)
             stall = 0
+            events = waits
             if faults:
-                # Fault-aware variant of the loop below: injected stall
-                # events interleave with the waits in local-cycle order
-                # (an injected stall at a wait's cycle applies first —
-                # the processor is already late when it checks the
-                # signal), drops raise, delays push visibility.
-                events: list[tuple[int, int, tuple]] = [
-                    (w[0], 1, w) for w in waits
-                ]
                 # Injected stalls land on *issue* cycles only (the semantic
                 # executor has nothing to freeze after the last bundle).
-                issue_cycles = schedule.issue_cycles
+                events = list(waits)
                 for at_cycle, extra in faults.injected_stalls(k, issue_cycles):
                     if at_cycle <= issue_cycles:
                         events.append((at_cycle, 0, (extra,)))
                         metric_count("robust.faults.injected_stalls")
                 events.sort()
-                for cycle, kind, payload in events:
-                    if kind == 0:
-                        stall += payload[0]
-                    else:
-                        wait_cycle, distance, send_cycle, pair_id = payload
-                        producer = k - distance
-                        if producer >= 1:
+            for cycle, kind, payload in events:
+                if kind == 0:
+                    stall += payload[0]
+                else:
+                    wait_cycle, distance, send_cycle, pair_id = payload
+                    producer = k - distance
+                    if producer >= 1:
+                        latency = signal_latency
+                        if faults:
                             if faults.drops_signal(pair_id, producer):
                                 metric_count("robust.deadlock.detected")
-                                pair = lowered.synced.pair(pair_id)
-                                raise DeadlockError(
-                                    (
-                                        BlockedWait(
-                                            processor=rank_of_iter.get(k, k - 1),
-                                            iteration=k,
-                                            pair_id=pair_id,
-                                            source_label=pair.source_label,
-                                            producer_iteration=producer,
-                                            wait_cycle=wait_cycle,
-                                            orphaned=True,
-                                            reason=(
-                                                "Send_Signal delivery dropped "
-                                                "by fault plan"
-                                            ),
-                                        ),
-                                    ),
-                                    plan_label=faults.label,
-                                )
-                            send_abs = timings[producer - 1].abs_cycle(send_cycle)
+                                raise _dropped(lowered, faults, rank_of_iter, k, payload)
                             extra_latency = faults.signal_delay(pair_id, producer)
                             if extra_latency:
                                 metric_count("robust.faults.delayed_signals")
-                            needed = send_abs + signal_latency + extra_latency
-                            current = start + wait_cycle + stall
-                            if needed > current:
-                                stall_by_pair[pair_id] += needed - current
-                                if journal is not None:
-                                    journal.record_stall(
-                                        StallLink(
-                                            pair_id=pair_id,
-                                            iteration=k,
-                                            producer_iteration=producer,
-                                            wait_cycle=wait_cycle,
-                                            send_abs=send_abs,
-                                            stall=needed - current,
-                                        )
+                            latency += extra_latency
+                        send_abs = timings[producer - 1].abs_cycle(send_cycle)
+                        needed = send_abs + latency
+                        current = start + wait_cycle + stall
+                        if needed > current:
+                            stall_by_pair[pair_id] += needed - current
+                            if journal is not None:
+                                journal.record_stall(
+                                    StallLink(
+                                        pair_id=pair_id,
+                                        iteration=k,
+                                        producer_iteration=producer,
+                                        wait_cycle=wait_cycle,
+                                        send_abs=send_abs,
+                                        stall=needed - current,
                                     )
-                                stall = needed - start - wait_cycle
-                    timing.wait_cycles.append(cycle)
-                    timing.cumulative_stall.append(stall)
-                timings.append(timing)
-                finish_times.append(start + length + stall)
-                total_stall += stall
-                continue
-            for wait_cycle, distance, send_cycle, pair_id in waits:
-                producer = k - distance
-                if producer >= 1:
-                    send_abs = timings[producer - 1].abs_cycle(send_cycle)
-                    needed = send_abs + signal_latency
-                    current = start + wait_cycle + stall
-                    if needed > current:
-                        stall_by_pair[pair_id] += needed - current
-                        if journal is not None:
-                            journal.record_stall(
-                                StallLink(
-                                    pair_id=pair_id,
-                                    iteration=k,
-                                    producer_iteration=producer,
-                                    wait_cycle=wait_cycle,
-                                    send_abs=send_abs,
-                                    stall=needed - current,
                                 )
-                            )
-                        stall = needed - start - wait_cycle
-                timing.wait_cycles.append(wait_cycle)
+                            stall = needed - start - wait_cycle
+                timing.wait_cycles.append(cycle)
                 timing.cumulative_stall.append(stall)
             timings.append(timing)
             finish_times.append(start + length + stall)

@@ -133,9 +133,12 @@ def insert_synchronization(
     if any(isinstance(s, (WaitSignal, SendSignal)) for s in loop.body):
         raise ValueError("loop already contains synchronization statements")
     _assert_unique_reference_objects(loop)
-    loop = _ensure_labels(loop)
+    # Labelling keeps every statement's position and reference objects,
+    # so a graph of ``loop`` holds for the labelled loop too.
+    labelled = _ensure_labels(loop)
     if graph is None or graph.loop is not loop:
-        graph = analyze_loop(loop)
+        graph = analyze_loop(labelled)
+    loop = labelled
     carried = graph.loop_carried()
     if any(d.irregular for d in carried):
         raise ValueError("cannot synchronize irregular (non-constant-distance) dependences")

@@ -75,7 +75,8 @@ def restructure(
             is_doacross=True,
             name=loop.name,
         )
-        graph = analyze_loop(loop)
+        # Same body list, so the same dependences: point them at the copy.
+        graph = DependenceGraph(loop=loop, deps=graph.deps)
 
     return RestructureResult(
         original=original,

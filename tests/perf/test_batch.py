@@ -293,5 +293,25 @@ class TestMemos:
         for word in ("cells", "eval hits", "sim hits", "closed-form", "event walks"):
             assert word in text
 
+    def test_second_batch_sweep_compiles_nothing(self, monkeypatch):
+        """``repro sweep --batch`` answers a repeat sweep in one process
+        from the process-wide engine, compile cache included."""
+        import repro.perf.batch as batch_module
+        import repro.pipeline as pipeline
+        from repro.service.ops import sweep_op
+
+        monkeypatch.setattr(batch_module, "_SHARED", None)
+        first = sweep_op(batch=True).stdout
+        compiles = []
+        original = pipeline.compile_loop
+
+        def counting(*args, **kwargs):
+            compiles.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compile_loop", counting)
+        assert sweep_op(batch=True).stdout == first
+        assert compiles == []
+
     def test_shared_evaluator_is_a_singleton(self):
         assert shared_batch_evaluator() is shared_batch_evaluator()

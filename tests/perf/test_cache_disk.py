@@ -16,6 +16,7 @@ from repro.obs.metrics import disable_metrics, enable_metrics
 from repro.perf import CompileCache
 from repro.perf.cache import _CACHE_MAGIC
 from repro.sched import paper_machine
+from repro.service.ops import sweep_op
 
 from tests.conftest import FIG1_SOURCE
 
@@ -91,6 +92,17 @@ class TestCorruption:
         warm_cache.save(path)
         path.write_bytes(b"NOTCACHE" + path.read_bytes()[8:])
         self.load_expecting_corrupt(path)
+
+    def test_file_of_the_previous_layout_is_a_miss(self, tmp_path, warm_cache):
+        """Files written before schedules were frozen carry magic
+        ``RPROCCH1``; they load empty, and a sweep over one recompiles and
+        prints the right table."""
+        path = tmp_path / "cache.bin"
+        warm_cache.save(path)
+        path.write_bytes(b"RPROCCH1" + path.read_bytes()[8:])  # digest intact
+        self.load_expecting_corrupt(path)
+        expected = sweep_op(["QCD"], n=20, no_cache=True).stdout
+        assert sweep_op(["QCD"], n=20, cache_file=str(path)).stdout == expected
 
     def test_wrong_schema_version(self, tmp_path):
         import hashlib

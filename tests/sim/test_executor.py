@@ -1,6 +1,8 @@
 """Semantic parallel execution tests: memory equivalence with serial
 execution and timing agreement with the analytic simulator."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.pipeline import compile_loop
@@ -68,8 +70,8 @@ class TestFailureInjection:
         # Sabotage: move the wait after everything, so the sink load no
         # longer blocks on the previous iteration.
         wait_iid = compiled.lowered.wait_iids[0]
-        schedule.cycle_of[wait_iid] = max(schedule.cycle_of.values()) + 5
-        result = execute_parallel(schedule, MemoryImage())
+        cycle_of = {**schedule.cycle_of, wait_iid: max(schedule.cycle_of.values()) + 5}
+        result = execute_parallel(replace(schedule, cycle_of=cycle_of), MemoryImage())
         reference = run_serial(compiled.synced.loop, MemoryImage())
         assert result.memory != reference
 
